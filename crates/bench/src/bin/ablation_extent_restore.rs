@@ -16,7 +16,10 @@
 //! so the numbers can be diffed across commits; with the default
 //! `--seed` the file is bit-reproducible.
 
-use prebake_bench::{hr, improvement_pct, parallel_startup_trials, HarnessArgs};
+use prebake_bench::json::{fixed, Value};
+use prebake_bench::{
+    hr, improvement_pct, obj, parallel_startup_trials, write_baseline, HarnessArgs,
+};
 use prebake_core::measure::{StartMode, StartupTrial, TrialRunner};
 use prebake_functions::{FunctionSpec, SyntheticSize};
 use prebake_stats::summary::quantile;
@@ -60,20 +63,13 @@ fn main() {
         "function", "restore", "snapshot", "p50", "p95", "extents", "gain"
     );
     hr();
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"reps\": {},\n  \"eager\": [\n",
-        args.seed, reps
-    ));
+    let mut eager = Vec::new();
     let mut big_gain = 0.0;
-    for (si, size) in [
+    for size in [
         SyntheticSize::Small,
         SyntheticSize::Medium,
         SyntheticSize::Big,
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    ] {
         let spec = FunctionSpec::synthetic(size);
         let mode = StartMode::PrebakeWarmup(1);
         let per_page_runner = TrialRunner::new(spec.clone(), mode)
@@ -115,21 +111,15 @@ fn main() {
             vectored.probes.extents_restored,
             gain,
         );
-        json.push_str(&format!(
-            "    {{\"function\": \"{}\", \"snapshot_mb\": {:.3}, \
-             \"per_page\": {{\"p50_ms\": {:.4}, \"p95_ms\": {:.4}}}, \
-             \"vectored\": {{\"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"extents\": {}}}, \
-             \"improvement_pct\": {:.2}}}{}\n",
-            spec.name(),
-            snapshot_mb,
-            per_page.p50,
-            per_page.p95,
-            vectored.p50,
-            vectored.p95,
-            vectored.probes.extents_restored,
-            gain,
-            if si == 2 { "" } else { "," },
-        ));
+        eager.push(obj! {
+            "function": spec.name(), "snapshot_mb": fixed(snapshot_mb, 3),
+            "per_page": obj! { "p50_ms": fixed(per_page.p50, 4), "p95_ms": fixed(per_page.p95, 4) },
+            "vectored": obj! {
+                "p50_ms": fixed(vectored.p50, 4), "p95_ms": fixed(vectored.p95, 4),
+                "extents": vectored.probes.extents_restored,
+            },
+            "improvement_pct": fixed(gain, 2),
+        });
     }
     hr();
     assert!(
@@ -149,9 +139,9 @@ fn main() {
         "window", "p50", "p95", "majflt", "minflt", "avoided"
     );
     hr();
-    json.push_str("  ],\n  \"fault_around\": [\n");
     let mut majors_by_window = Vec::new();
-    for (wi, window) in WINDOWS.into_iter().enumerate() {
+    let mut fault_around = Vec::new();
+    for window in WINDOWS {
         let runner = TrialRunner::new(big.clone(), StartMode::PrebakeLazy(1))
             .expect("runner")
             .fault_around(window);
@@ -166,19 +156,12 @@ fn main() {
             t.probes.minor_faults,
             t.probes.faults_avoided
         );
-        json.push_str(&format!(
-            "    {{\"window\": {}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \
-             \"major_faults\": {}, \"minor_faults\": {}, \"faults_avoided\": {}}}{}\n",
-            window,
-            t.p50,
-            t.p95,
-            t.probes.major_faults,
-            t.probes.minor_faults,
-            t.probes.faults_avoided,
-            if wi == WINDOWS.len() - 1 { "" } else { "," },
-        ));
+        fault_around.push(obj! {
+            "window": window, "p50_ms": fixed(t.p50, 4), "p95_ms": fixed(t.p95, 4),
+            "major_faults": t.probes.major_faults, "minor_faults": t.probes.minor_faults,
+            "faults_avoided": t.probes.faults_avoided,
+        });
     }
-    json.push_str("  ]\n}\n");
     hr();
     assert!(
         majors_by_window[1] < majors_by_window[0],
@@ -192,16 +175,11 @@ fn main() {
         "major faults must be monotone non-increasing in the window"
     );
 
-    // Only a full-rep run under the default seed refreshes the checked-in
-    // copy (it is bit-reproducible); quick or reseeded runs land in the
-    // gitignored results/ directory.
-    let path = if reps >= 40 && args.seed == 1 {
-        "BENCH_restore.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_restore.json".to_string()
+    let doc = obj! {
+        "seed": args.seed, "reps": reps,
+        "eager": Value::Arr(eager), "fault_around": Value::Arr(fault_around),
     };
-    std::fs::write(&path, &json).expect("write BENCH_restore.json");
+    let path = write_baseline(&args, "restore", &doc);
     println!(
         "take-away: coalescing stored pages into extents turns eager restore's per-page \
          syscall tax into one setup charge per run — {big_gain:.1}% faster to first \

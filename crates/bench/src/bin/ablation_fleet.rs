@@ -18,7 +18,8 @@
 //! file is bit-reproducible.
 
 use prebake_bench::fleetmix::{fig5_profiles, workload};
-use prebake_bench::{hr, HarnessArgs};
+use prebake_bench::json::{fixed, Value};
+use prebake_bench::{hr, obj, write_baseline, HarnessArgs};
 use prebake_fleet::{
     FleetConfig, FleetSim, FunctionProfile, Gear, KeepAlive, Policy, StartSelection,
 };
@@ -108,12 +109,8 @@ fn main() {
         "function", "gear", "cold", "first", "warm", "replica", "image"
     );
     hr();
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"profile_reps\": {},\n  \"profiles\": [\n",
-        args.seed, profile_reps
-    ));
-    for (fi, p) in profiles.iter().enumerate() {
+    let mut profile_rows = Vec::new();
+    for p in &profiles {
         for (gi, gear) in p.gears().enumerate() {
             let c = p.cost(gear).expect("measured");
             println!(
@@ -126,24 +123,13 @@ fn main() {
                 c.replica_mem_bytes as f64 / 1e6,
                 c.image_bytes as f64 / 1e6,
             );
-            json.push_str(&format!(
-                "    {{\"function\": \"{}\", \"gear\": \"{}\", \"cold_ms\": {:.4}, \
-                 \"first_service_ms\": {:.4}, \"warm_service_ms\": {:.4}, \
-                 \"replica_mem_bytes\": {}, \"image_bytes\": {}, \"best\": {}}}{}\n",
-                p.name(),
-                gear.label(),
-                c.cold_ms,
-                c.first_service_ms,
-                c.warm_service_ms,
-                c.replica_mem_bytes,
-                c.image_bytes,
-                p.best_gear() == gear,
-                if fi == profiles.len() - 1 && gi == p.gears().count() - 1 {
-                    ""
-                } else {
-                    ","
-                },
-            ));
+            profile_rows.push(obj! {
+                "function": p.name(), "gear": gear.label(), "cold_ms": fixed(c.cold_ms, 4),
+                "first_service_ms": fixed(c.first_service_ms, 4),
+                "warm_service_ms": fixed(c.warm_service_ms, 4),
+                "replica_mem_bytes": c.replica_mem_bytes, "image_bytes": c.image_bytes,
+                "best": p.best_gear() == gear,
+            });
         }
     }
     hr();
@@ -204,10 +190,9 @@ fn main() {
         "wrk", "budget", "policy", "cold%", "p50", "p99", "evict", "pre", "shed"
     );
     hr();
-    json.push_str("  ],\n  \"sweep\": [\n");
     let mut outcomes = Vec::new();
     for (si, &(workers, budget)) in shapes.iter().enumerate() {
-        for (pi, &policy) in policies.iter().enumerate() {
+        for &policy in &policies {
             let o = run_point(&profiles, &schedule, workers, budget, policy, args.seed);
             println!(
                 "{:<3} {:>5}MB {:<24} {:>5.1}% {:>7.2}ms {:>8.2}ms {:>6} {:>5} {:>5}",
@@ -221,29 +206,6 @@ fn main() {
                 o.prewarms,
                 o.shed,
             );
-            json.push_str(&format!(
-                "    {{\"workers\": {}, \"mem_budget_mb\": {}, \"policy\": \"{}\", \
-                 \"cold_fraction\": {:.6}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
-                 \"queue_p99_ms\": {:.4}, \"evictions\": {}, \"expirations\": {}, \
-                 \"prewarm_starts\": {}, \"shed\": {}, \"mem_high_water_mb\": {}}}{}\n",
-                o.workers,
-                o.budget_mb,
-                o.policy_label,
-                o.cold_fraction,
-                o.p50_ms,
-                o.p99_ms,
-                o.queue_p99_ms,
-                o.evictions,
-                o.expirations,
-                o.prewarms,
-                o.shed,
-                o.high_water_mb,
-                if si == shapes.len() - 1 && pi == policies.len() - 1 {
-                    ""
-                } else {
-                    ","
-                },
-            ));
             outcomes.push(o);
         }
         if si < shapes.len() - 1 {
@@ -282,28 +244,27 @@ fn main() {
                 base.cold_fraction, base.p99_ms
             )
         });
-    json.push_str(&format!(
-        "  ],\n  \"baseline\": {{\"policy\": \"{}\", \"cold_fraction\": {:.6}, \
-         \"p99_ms\": {:.4}}},\n  \"winner\": {{\"policy\": \"{}\", \
-         \"cold_fraction\": {:.6}, \"p99_ms\": {:.4}}}\n}}\n",
-        base.policy_label,
-        base.cold_fraction,
-        base.p99_ms,
-        winner.policy_label,
-        winner.cold_fraction,
-        winner.p99_ms,
-    ));
-
-    // Only a full-rep run under the default seed refreshes the checked-in
-    // copy (it is bit-reproducible); quick or reseeded runs land in the
-    // gitignored results/ directory.
-    let path = if reps >= 40 && args.seed == 1 {
-        "BENCH_fleet.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_fleet.json".to_string()
+    let sweep = outcomes.iter().map(|o| {
+        obj! {
+            "workers": o.workers, "mem_budget_mb": o.budget_mb,
+            "policy": o.policy_label.as_str(), "cold_fraction": fixed(o.cold_fraction, 6),
+            "p50_ms": fixed(o.p50_ms, 4), "p99_ms": fixed(o.p99_ms, 4),
+            "queue_p99_ms": fixed(o.queue_p99_ms, 4), "evictions": o.evictions,
+            "expirations": o.expirations, "prewarm_starts": o.prewarms, "shed": o.shed,
+            "mem_high_water_mb": o.high_water_mb,
+        }
+    });
+    let headline = |o: &Outcome| {
+        obj! {
+            "policy": o.policy_label.as_str(), "cold_fraction": fixed(o.cold_fraction, 6),
+            "p99_ms": fixed(o.p99_ms, 4),
+        }
     };
-    std::fs::write(&path, &json).expect("write BENCH_fleet.json");
+    let doc = obj! {
+        "seed": args.seed, "profile_reps": profile_reps, "profiles": Value::Arr(profile_rows),
+        "sweep": Value::Arr(sweep.collect()), "baseline": headline(base), "winner": headline(winner),
+    };
+    let path = write_baseline(&args, "fleet", &doc);
     println!(
         "take-away: on a 4-worker fleet with headroom, {} cuts the cold-start fraction \
          from {:.1}% to {:.1}% and p99 latency from {:.2}ms to {:.2}ms versus the \

@@ -16,19 +16,20 @@
 //! queued` plus the arrivals-level identity with cache hits), and the
 //! prefetch arm is re-drained serially to prove the threaded drain is
 //! bit-identical. The JSON carries virtual-domain fields only, so with
-//! the default seed the file is bit-reproducible: CI runs the quick
-//! sweep twice and `cmp`s the outputs.
+//! the default seed the file is bit-reproducible: tier-1 `cmp`s the
+//! quick sweep against its committed quick baseline.
 //!
 //! Full-run gates: cold-TTFC p50 of prefetch and lazy beat eager, and
 //! the cached path serves strictly under 10 virtual milliseconds.
 
-use prebake_bench::{hr, HarnessArgs};
+use prebake_bench::fleetmix::tenant_stream;
+use prebake_bench::json::{fixed, Value};
+use prebake_bench::{hr, obj, write_baseline, HarnessArgs};
 use prebake_fleet::{
     CacheConfig, FleetConfig, FleetSim, FunctionProfile, GatewayConfig, Gear, GearCost, KeepAlive,
     Policy, StartSelection,
 };
-use prebake_platform::loadgen::{ArrivalGen, MergedArrivals};
-use prebake_sim::time::{SimDuration, SimInstant};
+use prebake_sim::time::SimDuration;
 
 /// The six-tenant mix, profiled for all three fixed gears. Eager pays
 /// the full image up front (large `cold_ms`), lazy restores a sliver
@@ -76,24 +77,6 @@ fn tenants() -> Vec<FunctionProfile> {
             )
         })
         .collect()
-}
-
-/// Lazy six-way merged Poisson stream, deterministic in `seed`.
-fn stream(per_tenant: usize, seed: u64) -> MergedArrivals<ArrivalGen> {
-    let gens = (0..6)
-        .map(|t| {
-            ArrivalGen::poisson(
-                &format!("tenant-{t}"),
-                per_tenant,
-                SimInstant::EPOCH + SimDuration::from_millis(13 * t as u64),
-                SimDuration::from_millis(14 + 4 * t as u64),
-                seed.wrapping_add(t as u64)
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            )
-            .expect("valid generator")
-        })
-        .collect();
-    MergedArrivals::new(gens)
 }
 
 fn config(gear: Gear, cached: bool, threads: bool, seed: u64) -> FleetConfig {
@@ -160,7 +143,7 @@ fn run_arm(label: &'static str, gear: Gear, cached: bool, per_tenant: usize, see
     for p in tenants() {
         sim.register(p);
     }
-    sim.run_stream(stream(per_tenant, seed))
+    sim.run_stream(tenant_stream(per_tenant, seed))
         .expect("stream runs clean");
 
     let stats = sim.gateway_admission();
@@ -191,7 +174,7 @@ fn serial_identical(gear: Gear, per_tenant: usize, seed: u64) -> bool {
         for p in tenants() {
             sim.register(p);
         }
-        sim.run_stream(stream(per_tenant, seed))
+        sim.run_stream(tenant_stream(per_tenant, seed))
             .expect("stream runs clean");
         (
             sim.render_metrics(),
@@ -303,46 +286,21 @@ fn main() {
         cached.cache_hits
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"arrivals_per_arm\": {},\n  \"tenants\": 6,\n  \
-         \"workers\": 64,\n  \"threaded_serial_identical\": {},\n  \"arms\": [\n",
-        args.seed, per_arm, identical
-    ));
-    for (i, o) in outcomes.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"arm\": \"{}\", \"arrivals\": {}, \"admitted\": {}, \"deferred\": {}, \
-             \"shed\": {}, \"cache_hits\": {}, \"ttfc_p50_ms\": {:.4}, \"ttfc_p99_ms\": {:.4}, \
-             \"ttfc_cold_p50_ms\": {:.4}, \"cached_serve_max_ms\": {:.4}, \"chunks\": {}, \
-             \"virtual_throughput_per_sec\": {:.4}, \"conserved\": {}}}{}\n",
-            o.label,
-            o.arrivals,
-            o.admitted,
-            o.deferred,
-            o.shed,
-            o.cache_hits,
-            o.ttfc_p50_ms,
-            o.ttfc_p99_ms,
-            o.ttfc_cold_p50_ms,
-            o.cached_serve_max_ms,
-            o.chunks,
-            o.vthroughput,
-            o.conserved,
-            if i == outcomes.len() - 1 { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    // Only a full-rep run under the default seed refreshes the
-    // checked-in copy; quick or reseeded runs land in gitignored
-    // results/.
-    let path = if args.reps >= 40 && args.seed == 1 {
-        "BENCH_gateway.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_gateway.json".to_string()
+    let arms = outcomes.iter().map(|o| {
+        obj! {
+            "arm": o.label, "arrivals": o.arrivals, "admitted": o.admitted,
+            "deferred": o.deferred, "shed": o.shed, "cache_hits": o.cache_hits,
+            "ttfc_p50_ms": fixed(o.ttfc_p50_ms, 4), "ttfc_p99_ms": fixed(o.ttfc_p99_ms, 4),
+            "ttfc_cold_p50_ms": fixed(o.ttfc_cold_p50_ms, 4),
+            "cached_serve_max_ms": fixed(o.cached_serve_max_ms, 4), "chunks": o.chunks,
+            "virtual_throughput_per_sec": fixed(o.vthroughput, 4), "conserved": o.conserved,
+        }
+    });
+    let doc = obj! {
+        "seed": args.seed, "arrivals_per_arm": per_arm, "tenants": 6, "workers": 64,
+        "threaded_serial_identical": identical, "arms": Value::Arr(arms.collect()),
     };
-    std::fs::write(&path, &json).expect("write BENCH_gateway.json");
+    let path = write_baseline(&args, "gateway", &doc);
     println!(
         "take-away: fronting the fleet with the streaming gateway, prefetch restores hand the \
          caller a first chunk at {:.1}ms cold p50 vs {:.1}ms eager ({:.1}x), and the TTL cache \

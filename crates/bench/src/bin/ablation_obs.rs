@@ -18,15 +18,17 @@
 //!
 //! Writes `BENCH_obs.json`; with the default `--seed` the file (and the
 //! dashboard and exemplar-annotated trace export under `results/`) is
-//! bit-reproducible — the tier-1 gate double-runs `--quick` and `cmp`s.
+//! bit-reproducible — tier-1 `cmp`s the `--quick` JSON against its
+//! committed quick baseline.
 
 use prebake_bench::fleetmix::{fig5_profiles, workload};
-use prebake_bench::{hr, HarnessArgs};
+use prebake_bench::json::{fixed, Value};
+use prebake_bench::{hr, obj, write_baseline, HarnessArgs};
 use prebake_fleet::{
     default_fleet_obs, FleetConfig, FleetSim, FunctionProfile, Gear, KeepAlive, Policy,
     StartSelection,
 };
-use prebake_obs::{DashboardSpec, SloEventKind};
+use prebake_obs::{DashboardSpec, ObjectiveStatus, SloEventKind};
 use prebake_platform::loadgen::Schedule;
 use prebake_sim::time::{SimDuration, SimInstant};
 
@@ -185,49 +187,33 @@ fn main() {
                 SloEventKind::BurnAlert { .. } => (b, a + 1),
             })
     };
-    let (lat_breaches, lat_alerts) = count_events("fleet-latency");
-    let (cold_breaches, cold_alerts) = count_events("fleet-cold-fraction");
     let reduction = spans_total as f64 / st.spans_kept.max(1) as f64;
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"profile_reps\": {profile_reps},\n",
-        args.seed
-    ));
-    json.push_str(&format!(
-        "  \"trace\": {{\"arrivals\": {}, \"requests\": {requests}, \
-         \"cold_starts\": {cold_starts}, \"burst_at_s\": {BURST_AT_S}, \
-         \"burst_size\": {BURST_SIZE}}},\n",
-        schedule.len(),
-    ));
-    json.push_str(&format!(
-        "  \"slo\": [\n    {{\"objective\": \"fleet-latency\", \"bad\": {}, \
-         \"total\": {}, \"burn\": {:.4}, \"window_breaches\": {lat_breaches}, \
-         \"burn_alerts\": {lat_alerts}}},\n    {{\"objective\": \
-         \"fleet-cold-fraction\", \"bad\": {}, \"total\": {}, \"burn\": {:.4}, \
-         \"window_breaches\": {cold_breaches}, \"burn_alerts\": {cold_alerts}}}\n  ],\n",
-        lat.bad, lat.total, lat.burn, cold.bad, cold.total, cold.burn,
-    ));
-    json.push_str(&format!(
-        "  \"burst\": {{\"tenant\": \"{BURST_FUNCTION}\", \"window\": {burst_window}, \
-         \"breaching_requests\": {}, \"worst_burn\": {:.4}}},\n",
-        breaching.len(),
-        worst.burn,
-    ));
-    json.push_str(&format!(
-        "  \"sampling\": {{\"trees_kept\": {}, \"trees_dropped\": {}, \
-         \"spans_kept\": {}, \"spans_dropped\": {}, \"interesting_kept\": {}, \
-         \"reduction_x\": {reduction:.4}}}\n}}\n",
-        st.trees_kept, st.trees_dropped, st.spans_kept, st.spans_dropped, st.interesting_kept,
-    ));
-
-    let path = if reps >= 40 && args.seed == 1 {
-        "BENCH_obs.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_obs.json".to_string()
+    let slo = |s: &ObjectiveStatus| {
+        let (breaches, alerts) = count_events(&s.name);
+        obj! {
+            "objective": s.name.as_str(), "bad": s.bad, "total": s.total,
+            "burn": fixed(s.burn, 4), "window_breaches": breaches, "burn_alerts": alerts,
+        }
     };
-    std::fs::write(&path, &json).expect("write BENCH_obs.json");
+    let doc = obj! {
+        "seed": args.seed, "profile_reps": profile_reps,
+        "trace": obj! {
+            "arrivals": schedule.len(), "requests": requests, "cold_starts": cold_starts,
+            "burst_at_s": BURST_AT_S, "burst_size": BURST_SIZE,
+        },
+        "slo": Value::Arr(vec![slo(lat), slo(cold)]),
+        "burst": obj! {
+            "tenant": BURST_FUNCTION, "window": burst_window,
+            "breaching_requests": breaching.len(), "worst_burn": fixed(worst.burn, 4),
+        },
+        "sampling": obj! {
+            "trees_kept": st.trees_kept, "trees_dropped": st.trees_dropped,
+            "spans_kept": st.spans_kept, "spans_dropped": st.spans_dropped,
+            "interesting_kept": st.interesting_kept, "reduction_x": fixed(reduction, 4),
+        },
+    };
+    let path = write_baseline(&args, "obs", &doc);
     // The exemplar-annotated trace export always lands in results/ (it
     // holds every retained span — useful for Perfetto, too big to
     // commit).

@@ -29,7 +29,8 @@
 //! writes `BENCH_registry.json` (bit-reproducible under the default
 //! seed).
 
-use prebake_bench::{hr, improvement_pct, HarnessArgs};
+use prebake_bench::json::{fixed, Value};
+use prebake_bench::{hr, improvement_pct, obj, write_baseline, HarnessArgs};
 use prebake_fleet::{
     FleetConfig, FleetSim, FunctionProfile, Gear, GearCost, KeepAlive, Policy, RegistryConfig,
     StartSelection,
@@ -270,19 +271,8 @@ fn main() {
     );
     hr();
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"workers\": {},\n  \"mem_budget_mb\": {},\n  \
-         \"shared_fraction\": {},\n  \"registry_latency_ms\": 12,\n  \
-         \"registry_gbps\": 10,\n  \"arrivals\": {},\n  \"sweep\": [\n",
-        args.seed,
-        WORKERS,
-        MEM_BUDGET >> 20,
-        SHARED_FRACTION,
-        schedule.len(),
-    ));
     let mut outcomes = Vec::new();
-    for (i, v) in variants.iter().enumerate() {
+    for v in &variants {
         let o = run_variant(v, &profiles, &schedule, args.seed);
         println!(
             "{:<23} {:>5.1}% {:>8.1}ms {:>8.1}ms {:>7.1}MB {:>7.1}MB {:>5} {:>5}",
@@ -295,23 +285,6 @@ fn main() {
             o.cache_hits,
             o.prepulls,
         );
-        json.push_str(&format!(
-            "    {{\"variant\": \"{}\", \"cold_fraction\": {:.6}, \
-             \"cold_p99_ms\": {:.4}, \"p99_ms\": {:.4}, \"egress_bytes\": {}, \
-             \"dedup_bytes\": {}, \"pulls\": {}, \"cache_hits\": {}, \
-             \"prepulls\": {}, \"prewarm_starts\": {}}}{}\n",
-            o.label,
-            o.cold_fraction,
-            o.cold_p99_ms,
-            o.p99_ms,
-            o.egress_bytes,
-            o.dedup_bytes,
-            o.pulls,
-            o.cache_hits,
-            o.prepulls,
-            o.prewarms,
-            if i == variants.len() - 1 { "" } else { "," },
-        ));
         outcomes.push(o);
     }
     hr();
@@ -348,28 +321,27 @@ fn main() {
         winner.cold_p99_ms,
         naive.cold_p99_ms
     );
-    json.push_str(&format!(
-        "  ],\n  \"baseline\": {{\"variant\": \"{}\", \"cold_p99_ms\": {:.4}, \
-         \"egress_bytes\": {}}},\n  \"winner\": {{\"variant\": \"{}\", \
-         \"cold_p99_ms\": {:.4}, \"egress_bytes\": {}}}\n}}\n",
-        naive.label,
-        naive.cold_p99_ms,
-        naive.egress_bytes,
-        winner.label,
-        winner.cold_p99_ms,
-        winner.egress_bytes,
-    ));
-
-    // Only a full-rep run under the default seed refreshes the
-    // checked-in copy (it is bit-reproducible); quick or reseeded runs
-    // land in the gitignored results/ directory.
-    let path = if args.reps >= 40 && args.seed == 1 {
-        "BENCH_registry.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_registry.json".to_string()
+    let sweep = outcomes.iter().map(|o| {
+        obj! {
+            "variant": o.label, "cold_fraction": fixed(o.cold_fraction, 6),
+            "cold_p99_ms": fixed(o.cold_p99_ms, 4), "p99_ms": fixed(o.p99_ms, 4),
+            "egress_bytes": o.egress_bytes, "dedup_bytes": o.dedup_bytes, "pulls": o.pulls,
+            "cache_hits": o.cache_hits, "prepulls": o.prepulls, "prewarm_starts": o.prewarms,
+        }
+    });
+    let headline = |o: &Outcome| {
+        obj! {
+            "variant": o.label, "cold_p99_ms": fixed(o.cold_p99_ms, 4),
+            "egress_bytes": o.egress_bytes,
+        }
     };
-    std::fs::write(&path, &json).expect("write BENCH_registry.json");
+    let doc = obj! {
+        "seed": args.seed, "workers": WORKERS, "mem_budget_mb": MEM_BUDGET >> 20,
+        "shared_fraction": SHARED_FRACTION, "registry_latency_ms": 12, "registry_gbps": 10,
+        "arrivals": schedule.len(), "sweep": Value::Arr(sweep.collect()),
+        "baseline": headline(naive), "winner": headline(winner),
+    };
+    let path = write_baseline(&args, "registry", &doc);
     println!(
         "take-away: dedup-aware pull-through caching with image-affinity placement \
          cuts cold-start p99 from {:.1}ms to {:.1}ms ({:.1}% better) and total \

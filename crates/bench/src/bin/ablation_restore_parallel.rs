@@ -17,9 +17,13 @@
 //!    correctness is covered by the bit-identity fallback proptests.
 //!
 //! Writes `BENCH_parallel.json`; with the default `--seed` the file is
-//! bit-reproducible (the CI determinism gate runs it twice and `cmp`s).
+//! bit-reproducible (tier-1 `cmp`s the `--quick` JSON against its
+//! committed quick baseline).
 
-use prebake_bench::{hr, improvement_pct, parallel_startup_trials, HarnessArgs};
+use prebake_bench::json::{fixed, Value};
+use prebake_bench::{
+    hr, improvement_pct, obj, parallel_startup_trials, write_baseline, HarnessArgs,
+};
 use prebake_core::measure::{StartMode, StartupTrial, TrialRunner};
 use prebake_functions::{FunctionSpec, SyntheticSize};
 use prebake_stats::summary::quantile;
@@ -78,14 +82,10 @@ fn main() {
         "threads", "startup", "p50", "p95", "gain"
     );
     hr();
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"reps\": {},\n  \"baseline_big_p50_ms\": {BASELINE_BIG_P50_MS},\n  \"parallel\": [\n",
-        args.seed, reps
-    ));
+    let mut parallel = Vec::new();
     let mut serial_p50 = 0.0;
     let mut best_p50 = f64::MAX;
-    for (ti, threads) in THREADS.into_iter().enumerate() {
+    for threads in THREADS {
         let runner = TrialRunner::new(big.clone(), StartMode::PrebakeWarmup(1))
             .expect("runner")
             .threads(threads);
@@ -109,16 +109,10 @@ fn main() {
             t.p95,
             improvement_pct(BASELINE_BIG_P50_MS, t.p50),
         );
-        json.push_str(&format!(
-            "    {{\"threads\": {}, \"startup_p50_ms\": {:.4}, \"p50_ms\": {:.4}, \
-             \"p95_ms\": {:.4}, \"shards\": {}}}{}\n",
-            threads,
-            t.startup_p50,
-            t.p50,
-            t.p95,
-            t.shards,
-            if ti == THREADS.len() - 1 { "" } else { "," },
-        ));
+        parallel.push(obj! {
+            "threads": threads, "startup_p50_ms": fixed(t.startup_p50, 4),
+            "p50_ms": fixed(t.p50, 4), "p95_ms": fixed(t.p95, 4), "shards": t.shards,
+        });
         if threads >= 2 {
             assert!(
                 t.p50 < BASELINE_BIG_P50_MS,
@@ -135,7 +129,7 @@ fn main() {
         }
     }
     hr();
-    if reps >= 40 && args.seed == 1 {
+    if args.is_baseline_run() {
         // The serial path is bit-identical to the committed baseline run.
         assert!(
             (serial_p50 - BASELINE_BIG_P50_MS).abs() < 5e-5,
@@ -183,19 +177,6 @@ fn main() {
         ordered.p95,
         dump_order.p95
     );
-    json.push_str(&format!(
-        "  ],\n  \"layout\": {{\
-         \"dump_order\": {{\"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"seek_bytes_avoided\": {}}}, \
-         \"fault_order\": {{\"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"seek_bytes_avoided\": {}}}, \
-         \"p95_improvement_pct\": {:.2}}},\n",
-        dump_order.p50,
-        dump_order.p95,
-        dump_order.seek_bytes_avoided,
-        ordered.p50,
-        ordered.p95,
-        ordered.seek_bytes_avoided,
-        improvement_pct(dump_order.p95, ordered.p95),
-    ));
 
     // -- part 3: hot-image compaction ----------------------------------
     println!("\nHot-image compaction (eager restore, fallback layer behind uffd)");
@@ -238,30 +219,28 @@ fn main() {
         full.startup_p50, compacted.startup_p50, full.p50, compacted.p50
     );
     hr();
-    json.push_str(&format!(
-        "  \"compact\": {{\"hot_bytes_before\": {}, \"hot_bytes_after\": {}, \
-         \"pages_compacted\": {}, \"full_startup_p50_ms\": {:.4}, \
-         \"compact_startup_p50_ms\": {:.4}, \"full_p50_ms\": {:.4}, \
-         \"compact_p50_ms\": {:.4}}}\n}}\n",
-        stats.hot_bytes_before,
-        stats.hot_bytes_after,
-        stats.pages_compacted,
-        full.startup_p50,
-        compacted.startup_p50,
-        full.p50,
-        compacted.p50,
-    ));
-
-    // Only a full-rep run under the default seed refreshes the checked-in
-    // copy (it is bit-reproducible); quick or reseeded runs land in the
-    // gitignored results/ directory.
-    let path = if reps >= 40 && args.seed == 1 {
-        "BENCH_parallel.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_parallel.json".to_string()
+    let layout = |t: &Treatment| {
+        obj! {
+            "p50_ms": fixed(t.p50, 4), "p95_ms": fixed(t.p95, 4),
+            "seek_bytes_avoided": t.seek_bytes_avoided,
+        }
     };
-    std::fs::write(&path, &json).expect("write BENCH_parallel.json");
+    let doc = obj! {
+        "seed": args.seed, "reps": reps, "baseline_big_p50_ms": BASELINE_BIG_P50_MS,
+        "parallel": Value::Arr(parallel),
+        "layout": obj! {
+            "dump_order": layout(&dump_order), "fault_order": layout(&ordered),
+            "p95_improvement_pct": fixed(improvement_pct(dump_order.p95, ordered.p95), 2),
+        },
+        "compact": obj! {
+            "hot_bytes_before": stats.hot_bytes_before, "hot_bytes_after": stats.hot_bytes_after,
+            "pages_compacted": stats.pages_compacted,
+            "full_startup_p50_ms": fixed(full.startup_p50, 4),
+            "compact_startup_p50_ms": fixed(compacted.startup_p50, 4),
+            "full_p50_ms": fixed(full.p50, 4), "compact_p50_ms": fixed(compacted.p50, 4),
+        },
+    };
+    let path = write_baseline(&args, "parallel", &doc);
     println!(
         "take-away: sharding the extent install across threads overlaps the restore's \
          copy time (p50 {serial_p50:.1}ms serial -> {best_p50:.1}ms best, vs the committed \

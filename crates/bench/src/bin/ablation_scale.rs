@@ -29,13 +29,14 @@
 
 use std::time::Instant;
 
-use prebake_bench::{hr, HarnessArgs};
+use prebake_bench::fleetmix::tenant_stream;
+use prebake_bench::json::{fixed, Value};
+use prebake_bench::{hr, obj, write_baseline, HarnessArgs};
 use prebake_fleet::{
     FleetConfig, FleetSim, FunctionProfile, Gear, GearCost, KeepAlive, Policy, RegistryConfig,
     StartSelection,
 };
-use prebake_platform::loadgen::{ArrivalGen, MergedArrivals};
-use prebake_sim::time::{SimDuration, SimInstant};
+use prebake_sim::time::SimDuration;
 
 /// The six-tenant synthetic mix: service times and footprints spread
 /// across the range the Fig. 5 functions cover, every tenant prebaked
@@ -70,25 +71,6 @@ fn tenants() -> Vec<FunctionProfile> {
             )
         })
         .collect()
-}
-
-/// The lazy six-way merged Poisson stream: `per_tenant` arrivals per
-/// tenant, tenant-specific rates and phases, deterministic in `seed`.
-fn stream(per_tenant: usize, seed: u64) -> MergedArrivals<ArrivalGen> {
-    let gens = (0..6)
-        .map(|t| {
-            ArrivalGen::poisson(
-                &format!("tenant-{t}"),
-                per_tenant,
-                SimInstant::EPOCH + SimDuration::from_millis(13 * t as u64),
-                SimDuration::from_millis(14 + 4 * t as u64),
-                seed.wrapping_add(t as u64)
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            )
-            .expect("valid generator")
-        })
-        .collect();
-    MergedArrivals::new(gens)
 }
 
 fn config(shards: usize, threads: bool, seed: u64) -> FleetConfig {
@@ -145,7 +127,7 @@ fn run_point(shards: usize, per_tenant: usize, seed: u64) -> Outcome {
         sim.register(p);
     }
     let wall = Instant::now();
-    sim.run_stream(stream(per_tenant, seed))
+    sim.run_stream(tenant_stream(per_tenant, seed))
         .expect("stream runs clean");
     let elapsed = wall.elapsed().as_secs_f64();
 
@@ -159,7 +141,7 @@ fn run_point(shards: usize, per_tenant: usize, seed: u64) -> Outcome {
             serial.register(p);
         }
         serial
-            .run_stream(stream(per_tenant, seed))
+            .run_stream(tenant_stream(per_tenant, seed))
             .expect("stream runs clean");
         fingerprint(&serial) == fingerprint(&sim)
     } else {
@@ -263,42 +245,20 @@ fn main() {
         sweep.len()
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"seed\": {},\n  \"arrivals\": {},\n  \"tenants\": 6,\n  \"workers\": 200,\n  \"sweep\": [\n",
-        args.seed, total
-    ));
-    for (i, o) in outcomes.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"shards\": {}, \"requests\": {}, \"shed\": {}, \"cold_starts\": {}, \
-             \"cold_p99_ms\": {:.4}, \"registry_egress_bytes\": {}, \
-             \"registry_dedup_bytes\": {}, \"replicas_started\": {}, \
-             \"events_processed\": {}, \"threaded_serial_identical\": {}}}{}\n",
-            o.shards,
-            o.requests,
-            o.shed,
-            o.cold_starts,
-            o.cold_p99_ms,
-            o.egress_bytes,
-            o.dedup_bytes,
-            o.replicas_started,
-            o.events_processed,
-            o.identical,
-            if i == outcomes.len() - 1 { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    // Only a full-rep run under the default seed refreshes the checked-in
-    // copy (it is bit-reproducible); quick or reseeded runs land in the
-    // gitignored results/ directory.
-    let path = if args.reps >= 40 && args.seed == 1 {
-        "BENCH_scale.json".to_string()
-    } else {
-        std::fs::create_dir_all("results").expect("mkdir results");
-        "results/BENCH_scale.json".to_string()
+    let sweep = outcomes.iter().map(|o| {
+        obj! {
+            "shards": o.shards, "requests": o.requests, "shed": o.shed,
+            "cold_starts": o.cold_starts, "cold_p99_ms": fixed(o.cold_p99_ms, 4),
+            "registry_egress_bytes": o.egress_bytes, "registry_dedup_bytes": o.dedup_bytes,
+            "replicas_started": o.replicas_started, "events_processed": o.events_processed,
+            "threaded_serial_identical": o.identical,
+        }
+    });
+    let doc = obj! {
+        "seed": args.seed, "arrivals": total, "tenants": 6, "workers": 200,
+        "sweep": Value::Arr(sweep.collect()),
     };
-    std::fs::write(&path, &json).expect("write BENCH_scale.json");
+    let path = write_baseline(&args, "scale", &doc);
     println!(
         "take-away: the sharded event loop pushes {total} streamed invocations through a \
          200-node fleet at {:.0} events/sec — {best_speedup:.2}x the unsharded loop — with \
@@ -308,7 +268,7 @@ fn main() {
 
     // The throughput bar is checked after the deterministic artifact is
     // on disk: a loaded machine can depress wall-clock events/sec (and
-    // fail this gate) without costing the double-run JSON comparison.
+    // fail this gate) without costing the quick-baseline comparison.
     if !quick {
         assert!(
             best_speedup >= 3.0,

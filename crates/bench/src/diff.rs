@@ -186,7 +186,7 @@ pub fn flatten(v: &Value) -> Vec<(String, f64)> {
 
 fn walk(v: &Value, path: String, out: &mut Vec<(String, f64)>) {
     match v {
-        Value::Num(n) => out.push((path, *n)),
+        Value::Num(_) => out.extend(v.as_f64().map(|n| (path, n))),
         Value::Arr(items) => {
             for (i, item) in items.iter().enumerate() {
                 walk(item, format!("{path}[{i}]"), out);

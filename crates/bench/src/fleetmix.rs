@@ -1,12 +1,13 @@
-//! The shared multi-tenant fleet workload: the Fig. 5 synthetic mix
+//! The shared multi-tenant fleet workloads: the Fig. 5 synthetic mix
 //! profiled under every restore gear, plus the heavy-tailed arrival
 //! trace both fleet-level ablations (`ablation_fleet`, `ablation_obs`)
-//! replay. Kept in the library so the telemetry ablation observes
-//! *exactly* the trace the scheduling ablation swept.
+//! replay, and the six-tenant stream the trace-scale ablations
+//! (`ablation_scale`, `ablation_gateway`) drive. Kept in the library so
+//! each ablation observes *exactly* the trace its sibling swept.
 
 use prebake_fleet::{FunctionProfile, Gear};
 use prebake_functions::{FunctionSpec, SyntheticSize};
-use prebake_platform::loadgen::Schedule;
+use prebake_platform::loadgen::{ArrivalGen, MergedArrivals, Schedule};
 use prebake_sim::time::{SimDuration, SimInstant};
 
 /// Name of the timer-driven tenant (profiled like the medium function).
@@ -84,6 +85,26 @@ pub fn workload(profiles: &[FunctionProfile], seed: u64) -> Schedule {
         )
         .expect("valid constant schedule"),
     )
+}
+
+/// The lazy six-way merged Poisson stream of `tenant-0`..`tenant-5`:
+/// `per_tenant` arrivals each, tenant-specific rates and phases,
+/// deterministic in `seed`.
+pub fn tenant_stream(per_tenant: usize, seed: u64) -> MergedArrivals<ArrivalGen> {
+    let gens = (0..6)
+        .map(|t| {
+            ArrivalGen::poisson(
+                &format!("tenant-{t}"),
+                per_tenant,
+                SimInstant::EPOCH + SimDuration::from_millis(13 * t as u64),
+                SimDuration::from_millis(14 + 4 * t as u64),
+                seed.wrapping_add(t as u64)
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            )
+            .expect("valid generator")
+        })
+        .collect();
+    MergedArrivals::new(gens)
 }
 
 #[cfg(test)]

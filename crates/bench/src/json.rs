@@ -1,23 +1,25 @@
-//! A minimal JSON reader for the committed `BENCH_*.json` baselines.
+//! A minimal JSON reader and writer for the `BENCH_*.json` baselines.
 //!
-//! The bench harnesses *write* JSON with hand-formatted `format!` calls;
-//! this module is the matching *reader* for the regression gate
-//! (`benchdiff`), so the repo stays free of a serde dependency. It
-//! parses the full JSON grammar (objects, arrays, strings with escapes,
-//! numbers as `f64`, booleans, null) with byte positions in errors.
+//! The ablation harnesses build a [`Value`] with [`obj!`](crate::obj)
+//! and [`fixed`], and [`crate::write_baseline`] renders it with
+//! [`write`]; `benchdiff` reads it back with [`parse`], which accepts the
+//! full JSON grammar with byte positions in errors. No serde needed.
+//!
+//! Numbers keep the token they were printed as (`0.5000` stays
+//! `0.5000`), so reading and rewriting a baseline gives back its bytes.
 
 use std::fmt;
 
-/// A parsed JSON value. Object keys keep file order (the bench writers
-/// emit deterministically, and diff output should follow them).
+/// A JSON value, parsed or built for writing. Object keys keep their
+/// order (the writers emit deterministically, and diff output follows).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, as `f64` (bench metrics are all representable).
-    Num(f64),
+    /// A JSON number, as its printed token (see [`Value::as_f64`]).
+    Num(String),
     /// A string.
     Str(String),
     /// An array.
@@ -27,21 +29,129 @@ pub enum Value {
 }
 
 impl Value {
-    /// Member lookup on objects.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
     /// The number, when this is a [`Value::Num`].
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Value::Num(token) => token.parse().ok(),
             _ => None,
         }
     }
+}
+
+macro_rules! value_from {
+    ($($t:ty: $x:ident => $make:expr;)*) => {$(
+        impl From<$t> for Value {
+            fn from($x: $t) -> Value {
+                $make
+            }
+        }
+    )*};
+}
+
+// An `f64` prints shortest-round-trip (`0.6`, `10`); use [`fixed`] for a
+// set number of decimals.
+value_from! {
+    i32: n => Value::Num(n.to_string());
+    u64: n => Value::Num(n.to_string());
+    usize: n => Value::Num(n.to_string());
+    f64: n => Value::Num(n.to_string());
+    bool: b => Value::Bool(b);
+    &str: s => Value::Str(s.to_owned());
+}
+
+/// `x` printed with `decimals` digits after the point, as `{:.N}` would.
+pub fn fixed(x: f64, decimals: usize) -> Value {
+    Value::Num(format!("{x:.decimals$}"))
+}
+
+/// Builds a [`Value::Obj`] in the order written; each value goes through
+/// `Value::from`, so integers, `bool`s, strings, [`fixed`] numbers and
+/// nested values all fit:
+///
+/// ```
+/// use prebake_bench::{json, obj};
+/// let v = obj! { "arm": "eager", "shed": 0u64, "p50_ms": json::fixed(0.5, 4) };
+/// assert_eq!(json::write(&v), "{\n  \"arm\": \"eager\",\n  \"shed\": 0,\n  \"p50_ms\": 0.5000\n}\n");
+/// ```
+#[macro_export]
+macro_rules! obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        $crate::json::Value::Obj(vec![
+            $((String::from($key), $crate::json::Value::from($value))),*
+        ])
+    };
+}
+
+/// Renders `v` in the committed-baseline layout, newline-terminated:
+/// top-level object members go one per line at two-space indent, a
+/// top-level member that is an array of objects or arrays puts one
+/// element per line at four-space indent, and everything deeper is
+/// inline with `", "` and `": "` separators. [`parse`] reads the result
+/// back to an equal [`Value`].
+pub fn write(v: &Value) -> String {
+    let mut out = String::new();
+    write_at(&mut out, v, 0);
+    out.push('\n');
+    out
+}
+
+/// Writes `v` at layout `level`: 0 for the document, 1 for the members
+/// of a top-level object, 2 for everything inline below them.
+fn write_at(out: &mut String, v: &Value, level: usize) {
+    let (open, close, items): (char, char, Vec<(Option<&String>, &Value)>) = match v {
+        Value::Null => return out.push_str("null"),
+        Value::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+        Value::Num(token) => return out.push_str(token),
+        Value::Str(s) => return write_str(out, s),
+        Value::Arr(items) => ('[', ']', items.iter().map(|x| (None, x)).collect()),
+        Value::Obj(m) => ('{', '}', m.iter().map(|(k, x)| (Some(k), x)).collect()),
+    };
+    let one_per_line = !items.is_empty()
+        && match (level, v) {
+            (0, Value::Obj(_)) => true,
+            (1, Value::Arr(rows)) => rows
+                .iter()
+                .all(|r| matches!(r, Value::Arr(_) | Value::Obj(_))),
+            _ => false,
+        };
+    let pad = if one_per_line {
+        format!("\n{}", "  ".repeat(level + 1))
+    } else {
+        String::new()
+    };
+    out.push(open);
+    for (i, (key, item)) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(if one_per_line { "," } else { ", " });
+        }
+        out.push_str(&pad);
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(": ");
+        }
+        write_at(out, item, if level == 0 && one_per_line { 1 } else { 2 });
+    }
+    if one_per_line {
+        out.push('\n');
+        out.push_str(&"  ".repeat(level));
+    }
+    out.push(close);
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// A parse failure, with the byte offset it happened at.
@@ -250,35 +360,78 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>().map(Value::Num).map_err(|_| ParseError {
-            at: start,
-            msg: format!("invalid number '{text}'"),
-        })
+        match text.parse::<f64>() {
+            Ok(_) => Ok(Value::Num(text.to_owned())),
+            Err(_) => Err(ParseError {
+                at: start,
+                msg: format!("invalid number '{text}'"),
+            }),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// A random value nested at most `depth` deep, with numbers printed
+    /// every way the harnesses print them and strings that need escapes.
+    fn arbitrary(rng: &mut TestRng, depth: u32) -> Value {
+        let string = |rng: &mut TestRng| -> String {
+            let chars: Vec<char> = "aZ /\"\\\n\r\t\u{1}é☃".chars().collect();
+            (0..rng.below(6))
+                .map(|_| chars[rng.below(12) as usize])
+                .collect()
+        };
+        let x = (rng.unit_f64() - 0.5) * 10f64.powi(rng.below(10) as i32);
+        let n = rng.below(4);
+        match rng.below(if depth == 0 { 7 } else { 9 }) {
+            0 => Value::Null,
+            1 => Value::from(rng.below(2) == 0),
+            2 => Value::from(rng.next_u64()),
+            3 => Value::from(-(rng.below(1 << 30) as i32)),
+            4 => fixed(x, rng.below(7) as usize),
+            5 => Value::from(x),
+            6 => Value::Str(string(rng)),
+            7 => Value::Arr((0..n).map(|_| arbitrary(rng, depth - 1)).collect()),
+            _ => Value::Obj(
+                (0..n)
+                    .map(|_| (string(rng), arbitrary(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `parse(write(v)) == v`, at the top level (the one-per-line
+        /// layout) and one level down (inline).
+        #[test]
+        fn write_then_parse_is_identity(seed in any::<u64>()) {
+            let v = arbitrary(&mut TestRng::from_seed(seed), 3);
+            let nested = Value::Obj(vec![("doc".to_owned(), v.clone())]);
+            for doc in [v, nested] {
+                let text = write(&doc);
+                prop_assert_eq!(parse(&text).expect("writer output parses"), doc);
+            }
+        }
+    }
 
     #[test]
     fn parses_scalars_and_containers() {
         assert_eq!(parse("null").unwrap(), Value::Null);
         assert_eq!(parse(" true ").unwrap(), Value::Bool(true));
-        assert_eq!(parse("-12.5e2").unwrap(), Value::Num(-1250.0));
+        assert_eq!(parse("-12.5e2").unwrap().as_f64(), Some(-1250.0));
         assert_eq!(
             parse(r#""a\"b\nA""#).unwrap(),
             Value::Str("a\"b\nA".to_owned())
         );
         let v = parse(r#"{"a": [1, 2, {"b": false}], "c": "x"}"#).unwrap();
-        assert_eq!(v.get("c"), Some(&Value::Str("x".to_owned())));
-        match v.get("a").unwrap() {
-            Value::Arr(items) => {
-                assert_eq!(items.len(), 3);
-                assert_eq!(items[0].as_f64(), Some(1.0));
-            }
-            other => panic!("expected array, got {other:?}"),
-        }
+        let a = Value::Arr(vec![1.into(), 2.into(), crate::obj! { "b": false }]);
+        assert_eq!(v, crate::obj! { "a": a, "c": "x" });
     }
 
     #[test]
@@ -292,22 +445,18 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_a_committed_baseline_shape() {
+    fn writes_the_committed_baseline_layout() {
         let doc = r#"{
   "seed": 1,
-  "reps": 40,
   "parallel": [
-    {"threads": 1, "p50_ms": 89.3953, "p95_ms": 90.8682, "shards": 1},
-    {"threads": 8, "p50_ms": 68.2383, "p95_ms": 69.0226, "shards": 5}
+    {"threads": 1, "p50_ms": 89.3950, "shards": 1},
+    {"threads": 8, "p50_ms": 68.2383, "tags": [], "x": {}}
   ],
-  "layout": {"fault_order": {"p50_ms": 78.2533, "seek_bytes_avoided": 65359872}}
-}"#;
-        let v = parse(doc).unwrap();
-        assert_eq!(v.get("reps").and_then(Value::as_f64), Some(40.0));
-        let layout = v.get("layout").unwrap().get("fault_order").unwrap();
-        assert_eq!(
-            layout.get("seek_bytes_avoided").and_then(Value::as_f64),
-            Some(65_359_872.0)
-        );
+  "layout": {"fault_order": {"p50_ms": 78.25, "ok": true, "note": "a\"b"}},
+  "empty": [],
+  "flat": [1, 2.50]
+}
+"#;
+        assert_eq!(write(&parse(doc).unwrap()), doc);
     }
 }

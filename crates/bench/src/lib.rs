@@ -71,6 +71,28 @@ impl HarnessArgs {
         }
         args
     }
+
+    /// A full-rep run (`--reps` >= 40) under the default seed, whose
+    /// output is the committed baseline at the repository root.
+    pub fn is_baseline_run(&self) -> bool {
+        self.reps >= 40 && self.seed == 1
+    }
+}
+
+/// Writes an ablation's document as `BENCH_<name>.json` and returns the
+/// path: the committed copy at the repository root for a
+/// [baseline run](HarnessArgs::is_baseline_run), else the gitignored
+/// `results/`, where `scripts/tier1.sh` compares `--quick` output with
+/// the committed quick baseline. Panics if the file cannot be written.
+pub fn write_baseline(args: &HarnessArgs, name: &str, doc: &json::Value) -> String {
+    let path = if args.is_baseline_run() {
+        format!("BENCH_{name}.json")
+    } else {
+        std::fs::create_dir_all("results").expect("mkdir results");
+        format!("results/BENCH_{name}.json")
+    };
+    std::fs::write(&path, json::write(doc)).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    path
 }
 
 fn usage(msg: &str) -> ! {

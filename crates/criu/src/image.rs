@@ -235,6 +235,16 @@ impl<'a> Reader<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
+    /// An empty vector for `count` records of at least `min_len` bytes
+    /// each, or [`ImageError::Truncated`] when the rest of the image
+    /// cannot hold them: a corrupt count never sizes an allocation.
+    fn records<T>(&self, count: usize, min_len: usize) -> Result<Vec<T>, ImageError> {
+        if count.saturating_mul(min_len) > self.buf.len() - self.pos {
+            return Err(ImageError::Truncated);
+        }
+        Ok(Vec::with_capacity(count))
+    }
+
     fn done(&self) -> Result<(), ImageError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -309,13 +319,13 @@ impl CoreImage {
         let pid = Pid(r.u32()?);
         let comm = r.string()?;
         let argc = r.u16()?;
-        let mut cmdline = Vec::with_capacity(argc as usize);
+        let mut cmdline = r.records(argc as usize, 2)?;
         for _ in 0..argc {
             cmdline.push(r.string()?);
         }
         let cap_bits = r.u8()?;
         let tcount = r.u16()?;
-        let mut threads = Vec::with_capacity(tcount as usize);
+        let mut threads = r.records(tcount as usize, 20)?;
         for _ in 0..tcount {
             threads.push(ThreadImage {
                 tid: Tid(r.u32()?),
@@ -416,7 +426,7 @@ impl MmImage {
     pub fn parse(bytes: &[u8]) -> Result<MmImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_MM)?;
         let count = r.u32()?;
-        let mut vmas = Vec::with_capacity(count as usize);
+        let mut vmas = r.records(count as usize, 18)?;
         for _ in 0..count {
             let start = VirtAddr(r.u64()?);
             let len = r.u64()?;
@@ -563,7 +573,7 @@ impl PagesImage {
     pub fn parse(pagemap: &[u8], pages: &[u8]) -> Result<PagesImage, ImageError> {
         let mut r = Reader::open(pagemap, KIND_PAGEMAP)?;
         let count = r.u32()?;
-        let mut entries = Vec::with_capacity(count as usize);
+        let mut entries = r.records(count as usize, 9)?;
         for _ in 0..count {
             let page_index = r.u64()?;
             let flags = r.u8()?;
@@ -783,7 +793,7 @@ impl WsImage {
     pub fn parse(bytes: &[u8]) -> Result<WsImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_WS)?;
         let count = r.u32()?;
-        let mut pages = Vec::with_capacity(count as usize);
+        let mut pages = r.records(count as usize, 8)?;
         for _ in 0..count {
             pages.push(r.u64()?);
         }
@@ -926,18 +936,20 @@ impl PageStoreImage {
     pub fn parse(bytes: &[u8], pages: &PagesImage) -> Result<PageStoreImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_PAGESTORE)?;
         let frame_count = r.u32()? as usize;
-        let mut hashes = Vec::with_capacity(frame_count);
+        let mut hashes = r.records(frame_count, 8)?;
         for _ in 0..frame_count {
             hashes.push(r.u64()?);
         }
         let ref_count = r.u32()? as usize;
-        let mut refs = Vec::with_capacity(ref_count);
+        let mut refs = r.records(ref_count, 12)?;
         for _ in 0..ref_count {
             refs.push((r.u64()?, r.u32()?));
         }
         r.done()?;
 
-        if ref_count != pages.stored_pages() {
+        // Every frame must be referenced, so there are never more frames
+        // than refs; checking it first bounds the payload allocation.
+        if ref_count != pages.stored_pages() || frame_count > ref_count {
             return Err(ImageError::BadPageStore);
         }
         let mut payload = vec![0u8; frame_count * PAGE_SIZE];
@@ -1089,7 +1101,7 @@ impl ExtentsImage {
     pub fn parse(bytes: &[u8], pages: &PagesImage) -> Result<ExtentsImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_EXTENTS)?;
         let count = r.u32()?;
-        let mut extents = Vec::with_capacity(count as usize);
+        let mut extents = r.records(count as usize, 12)?;
         for _ in 0..count {
             let start_index = r.u64()?;
             let pages = r.u32()?;
@@ -1154,7 +1166,7 @@ impl FilesImage {
     pub fn parse(bytes: &[u8]) -> Result<FilesImage, ImageError> {
         let mut r = Reader::open(bytes, KIND_FILES)?;
         let count = r.u32()?;
-        let mut fds = Vec::with_capacity(count as usize);
+        let mut fds = r.records(count as usize, 7)?;
         for _ in 0..count {
             let fd = r.i32()?;
             let entry = match r.u8()? {
@@ -1482,9 +1494,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn files_roundtrip() {
-        let f = FilesImage {
+    fn sample_files() -> FilesImage {
+        FilesImage {
             fds: vec![
                 (
                     3,
@@ -1497,30 +1508,13 @@ mod tests {
                 (5, FdEntry::PipeRead { pipe: 7 }),
                 (6, FdEntry::PipeWrite { pipe: 7 }),
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn files_roundtrip() {
+        let f = sample_files();
         assert_eq!(FilesImage::parse(&f.encode()).unwrap(), f);
-    }
-
-    #[test]
-    fn corruption_detected() {
-        let mut bytes = sample_core().encode();
-        bytes[9] ^= 0xFF;
-        assert_eq!(CoreImage::parse(&bytes), Err(ImageError::BadChecksum));
-    }
-
-    #[test]
-    fn kind_confusion_detected() {
-        let core_bytes = sample_core().encode();
-        assert!(matches!(
-            MmImage::parse(&core_bytes),
-            Err(ImageError::WrongKind { .. })
-        ));
-    }
-
-    #[test]
-    fn truncation_detected() {
-        let bytes = sample_mm().encode();
-        assert_eq!(MmImage::parse(&bytes[..5]), Err(ImageError::Truncated));
     }
 
     #[test]
@@ -1566,17 +1560,6 @@ mod tests {
         let empty = WsImage::default();
         assert!(empty.is_empty());
         assert_eq!(WsImage::parse(&empty.encode()).unwrap(), empty);
-    }
-
-    #[test]
-    fn ws_corruption_and_kind_confusion_detected() {
-        let mut bytes = WsImage::from_fault_log(vec![1, 2, 3]).encode();
-        bytes[9] ^= 0xFF;
-        assert_eq!(WsImage::parse(&bytes), Err(ImageError::BadChecksum));
-        assert!(matches!(
-            WsImage::parse(&sample_core().encode()),
-            Err(ImageError::WrongKind { .. })
-        ));
     }
 
     #[test]
@@ -1817,5 +1800,128 @@ mod tests {
             dedup_base < plain_base + PAGE_SIZE as u64,
             "table, not payload"
         );
+    }
+
+    /// Hostile inputs to every parser, through `ImageSet::parse_files`
+    /// (which runs each file's own parser): bit flips, truncation at
+    /// every length, kind confusion and re-sealed images with
+    /// overwritten record counts. Each must give a typed error (or, for
+    /// a re-sealed edit that stays well-formed, an image), never a panic
+    /// or an aborting allocation.
+    mod hostile {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A valid snapshot with every optional image, as named files.
+        fn sample_set() -> Vec<(String, Vec<u8>)> {
+            let mut pages = PagesImage::default();
+            for index in [100, 101, 102, 110] {
+                pages.push(index, &filled(0xAB));
+            }
+            pages.push(111, &Page::zeroed());
+            let store = PageStoreImage::from_pages(&pages).expect("self-contained");
+            let ws = WsImage::from_fault_log(vec![110, 100]);
+            [
+                (ImageSet::CORE_NAME, sample_core().encode()),
+                (ImageSet::MM_NAME, sample_mm().encode()),
+                (ImageSet::PAGEMAP_NAME, pages.encode_pagemap()),
+                (ImageSet::PAGES_NAME, pages.encode_pages()),
+                (ImageSet::FILES_NAME, sample_files().encode()),
+                (ImageSet::WS_NAME, ws.encode()),
+                (ImageSet::PAGESTORE_NAME, store.encode()),
+                (
+                    ImageSet::EXTENTS_NAME,
+                    ExtentsImage::from_pages(&pages).encode(),
+                ),
+            ]
+            .map(|(name, bytes)| (name.to_owned(), bytes))
+            .into()
+        }
+
+        /// Parses the sample set with file `which` replaced by `bytes`.
+        fn parse_with(which: usize, bytes: &[u8]) -> Result<ImageSet, ImageError> {
+            let mut set = sample_set();
+            set[which].1 = bytes.to_vec();
+            ImageSet::parse_files(&set)
+        }
+
+        /// Recomputes the trailing checksum, so an edit reaches the
+        /// parser body instead of stopping at `BadChecksum`.
+        fn reseal(bytes: &mut Vec<u8>) {
+            bytes.truncate(bytes.len() - 8);
+            let sum = fnv1a(bytes);
+            bytes.extend_from_slice(&sum.to_be_bytes());
+        }
+
+        #[test]
+        fn truncation_at_every_length_is_a_typed_error() {
+            for (which, (name, bytes)) in sample_set().iter().enumerate() {
+                assert!(parse_with(which, bytes).is_ok(), "valid {name}");
+                for len in 0..bytes.len() {
+                    let err = parse_with(which, &bytes[..len]).expect_err(name);
+                    if len < 15 {
+                        assert_eq!(err, ImageError::Truncated, "{name} cut to {len}");
+                    } else {
+                        let mut cut = bytes[..len].to_vec();
+                        reseal(&mut cut);
+                        assert!(parse_with(which, &cut).is_err(), "{name} resealed at {len}");
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn huge_counts_are_rejected_before_allocating() {
+            // A u32::MAX record count used to size a 34-68 GB allocation
+            // and abort; every u32-counted image now reports truncation.
+            for (which, (name, bytes)) in sample_set().iter().enumerate() {
+                if [ImageSet::CORE_NAME, ImageSet::PAGES_NAME].contains(&name.as_str()) {
+                    continue;
+                }
+                let mut edited = bytes.clone();
+                edited[7..11].copy_from_slice(&u32::MAX.to_be_bytes());
+                reseal(&mut edited);
+                let err = parse_with(which, &edited).err();
+                assert_eq!(err, Some(ImageError::Truncated), "{name}");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// One random edit of one file. An unsealed bit flip always
+            /// fails the checksum (each FNV-1a step is a bijection of the
+            /// running hash). Re-sealed, a swapped kind byte is refused,
+            /// and a flipped bit or four payload bytes (record counts
+            /// included) overwritten with a random or maximal value
+            /// parse or fail with a typed error.
+            #[test]
+            fn edits_give_typed_errors(
+                which in 0usize..8,
+                at in any::<u64>(),
+                value in any::<u32>(),
+                max in any::<bool>(),
+            ) {
+                let mut bytes = sample_set().swap_remove(which).1;
+                let flip = (at % bytes.len() as u64) as usize;
+                bytes[flip] ^= 1 << (value % 8);
+                prop_assert_eq!(parse_with(which, &bytes).err(), Some(ImageError::BadChecksum));
+                reseal(&mut bytes);
+                let _ = parse_with(which, &bytes);
+
+                let mut kind = sample_set().swap_remove(which).1;
+                kind[6] = kind[6].wrapping_add(1 + (value % 255) as u8);
+                reseal(&mut kind);
+                let err = parse_with(which, &kind).err();
+                prop_assert!(matches!(err, Some(ImageError::WrongKind { .. })), "{err:?}");
+
+                let mut counts = sample_set().swap_remove(which).1;
+                let at = 7 + (at % (counts.len() as u64 - 18)) as usize;
+                let value = if max { u32::MAX } else { value };
+                counts[at..at + 4].copy_from_slice(&value.to_be_bytes());
+                reseal(&mut counts);
+                let _ = parse_with(which, &counts);
+            }
+        }
     }
 }

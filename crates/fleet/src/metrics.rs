@@ -3,7 +3,7 @@
 //! Reuses the platform's [`Counter`]/[`Histogram`] primitives so fleet
 //! series render in the same exposition format the gateway exports.
 
-use prebake_platform::metrics::{render_histogram, Counter, Histogram};
+use prebake_platform::metrics::{render_histogram, Counter, Histogram, LATENCY_BOUNDS_MS};
 
 use crate::profile::Gear;
 
@@ -49,13 +49,6 @@ pub struct FleetMetrics {
     /// Cold-start time spent waiting on registry pulls, ms.
     pub pull_wait: Histogram,
 }
-
-/// Latency buckets wide enough for cold starts behind deep queues.
-/// Shared with the obs recorder so windowed series merge with fleet
-/// aggregates without rebucketing.
-pub const LATENCY_BOUNDS_MS: [f64; 12] = [
-    1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1_000.0, 2_500.0, 10_000.0,
-];
 
 impl Default for FleetMetrics {
     fn default() -> Self {

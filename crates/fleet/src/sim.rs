@@ -192,7 +192,7 @@ pub fn default_fleet_obs(keep_fraction: f64, seed: u64) -> ObsConfig {
             // ring sized for "a day of 60s windows" keeps rollover a
             // production-memory concern, not a correctness hazard here.
             capacity: 1440,
-            bounds: crate::metrics::LATENCY_BOUNDS_MS.to_vec(),
+            bounds: prebake_platform::metrics::LATENCY_BOUNDS_MS.to_vec(),
         },
         objectives: vec![
             Objective::latency("fleet-latency", "fleet_latency_ms", 250.0, 0.9)

@@ -46,9 +46,3 @@ pub use slo::{
     Objective, ObjectiveStatus, Sli, SloEngine, SloEvent, SloEventKind, SloReport, WindowBurn,
 };
 pub use stack::{ObsConfig, ObsStack};
-
-/// Default latency bucket bounds (ms), matching the fleet scheduler's
-/// `LATENCY_BOUNDS_MS` so windowed series merge with fleet aggregates.
-pub const DEFAULT_LATENCY_BOUNDS_MS: [f64; 12] = [
-    1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1_000.0, 2_500.0, 10_000.0,
-];

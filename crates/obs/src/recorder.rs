@@ -379,7 +379,7 @@ impl Default for RecorderConfig {
         RecorderConfig {
             width: SimDuration::from_secs(60),
             capacity: 64,
-            bounds: crate::DEFAULT_LATENCY_BOUNDS_MS.to_vec(),
+            bounds: prebake_platform::metrics::LATENCY_BOUNDS_MS.to_vec(),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Golden tests for the deterministic text dashboard and the
 //! exemplar-annotated Chrome-trace export: a hand-seeded recorder must
 //! render to exactly these bytes. The strings double as the format
-//! contract the tier-1 double-run `cmp` gate relies on.
+//! contract the tier-1 quick-baseline `cmp` gate relies on.
 
 use prebake_obs::{
     chrome_trace_with_exemplars, dashboard, DashboardSpec, Objective, Recorder, RecorderConfig,

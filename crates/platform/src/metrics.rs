@@ -28,6 +28,13 @@ impl Counter {
     }
 }
 
+/// Latency buckets (ms) wide enough for cold starts behind deep queues.
+/// The fleet scheduler and the obs recorder both use this table, so
+/// windowed series merge with fleet aggregates without rebucketing.
+pub const LATENCY_BOUNDS_MS: [f64; 12] = [
+    1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1_000.0, 2_500.0, 10_000.0,
+];
+
 /// A simple latency histogram with fixed millisecond buckets.
 #[derive(Debug, Clone)]
 pub struct Histogram {
