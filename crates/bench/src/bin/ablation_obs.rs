@@ -29,7 +29,7 @@ use prebake_fleet::{
     StartSelection,
 };
 use prebake_obs::{DashboardSpec, ObjectiveStatus, SloEventKind};
-use prebake_platform::loadgen::Schedule;
+use prebake_platform::loadgen::{ArrivalGen, Schedule};
 use prebake_sim::time::{SimDuration, SimInstant};
 
 /// The injected-fault tenant: profiled with the vanilla gear only, so
@@ -61,11 +61,12 @@ fn main() {
         &[(Gear::Vanilla, vanilla_cost)],
     ));
     let schedule = workload(&profiles, args.seed).merge(
-        Schedule::burst(
+        ArrivalGen::burst(
             BURST_FUNCTION,
             BURST_SIZE,
             SimInstant::EPOCH + SimDuration::from_secs(BURST_AT_S),
         )
+        .and_then(Schedule::from_stream)
         .expect("valid burst"),
     );
 

@@ -18,7 +18,7 @@
 use prebake_bench::{hr, HarnessArgs};
 use prebake_functions::FunctionSpec;
 use prebake_platform::builder::{FunctionBuilder, Template};
-use prebake_platform::loadgen;
+use prebake_platform::loadgen::{ArrivalGen, Schedule};
 use prebake_platform::platform::{Platform, PlatformConfig};
 use prebake_platform::registry::Registry;
 use prebake_runtime::http::Request;
@@ -85,27 +85,23 @@ fn main() {
         let make = |_i: usize| Request::with_body(body.clone());
         let steady = n_requests * 2 / 3;
         let burst_total = n_requests - steady;
-        loadgen::poisson(
-            &mut platform,
+        ArrivalGen::poisson(
             "markdown-render",
             steady,
             SimInstant::EPOCH,
             SimDuration::from_millis(400),
             args.seed,
-            make,
         )
+        .and_then(Schedule::from_stream)
+        .and_then(|s| s.submit(&mut platform, make))
         .expect("poisson load");
         let bursts = 4usize;
         for b in 0..bursts {
             let at = SimInstant::EPOCH + SimDuration::from_secs(30 * (b as u64 + 1));
-            loadgen::burst(
-                &mut platform,
-                "markdown-render",
-                burst_total / bursts,
-                at,
-                make,
-            )
-            .expect("burst load");
+            ArrivalGen::burst("markdown-render", burst_total / bursts, at)
+                .and_then(Schedule::from_stream)
+                .and_then(|s| s.submit(&mut platform, make))
+                .expect("burst load");
         }
         platform.run().expect("platform run");
 

@@ -35,7 +35,7 @@ use prebake_fleet::{
     FleetConfig, FleetSim, FunctionProfile, Gear, GearCost, KeepAlive, Policy, RegistryConfig,
     StartSelection,
 };
-use prebake_platform::loadgen::Schedule;
+use prebake_platform::loadgen::{ArrivalGen, Schedule};
 use prebake_registry::{PullMode, RegistryCost};
 use prebake_sim::time::{SimDuration, SimInstant};
 use prebake_stats::summary::quantile;
@@ -129,17 +129,19 @@ fn workload(seed: u64) -> Schedule {
     let mut schedule = Schedule::default();
     for (i, (name, n, scale_ms, alpha)) in mix.into_iter().enumerate() {
         schedule = schedule.merge(
-            Schedule::pareto(name, n, SimInstant::EPOCH, scale_ms, alpha, seed + i as u64)
+            ArrivalGen::pareto(name, n, SimInstant::EPOCH, scale_ms, alpha, seed + i as u64)
+                .and_then(Schedule::from_stream)
                 .expect("valid pareto parameters"),
         );
     }
     schedule.merge(
-        Schedule::constant(
+        ArrivalGen::constant(
             CRON_FUNCTION,
             20,
             SimInstant::EPOCH,
             SimDuration::from_secs(180),
         )
+        .and_then(Schedule::from_stream)
         .expect("valid constant schedule"),
     )
 }

@@ -65,7 +65,7 @@ pub fn workload(profiles: &[FunctionProfile], seed: u64) -> Schedule {
     let mut schedule = Schedule::default();
     for (i, (p, (n, scale_ms, alpha))) in profiles.iter().zip(mix).enumerate() {
         schedule = schedule.merge(
-            Schedule::pareto(
+            ArrivalGen::pareto(
                 p.name(),
                 n,
                 SimInstant::EPOCH,
@@ -73,16 +73,18 @@ pub fn workload(profiles: &[FunctionProfile], seed: u64) -> Schedule {
                 alpha,
                 seed + i as u64,
             )
+            .and_then(Schedule::from_stream)
             .expect("valid pareto parameters"),
         );
     }
     schedule.merge(
-        Schedule::constant(
+        ArrivalGen::constant(
             CRON_FUNCTION,
             20,
             SimInstant::EPOCH,
             SimDuration::from_secs(180),
         )
+        .and_then(Schedule::from_stream)
         .expect("valid constant schedule"),
     )
 }

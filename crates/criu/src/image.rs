@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use prebake_sim::hash::fnv1a;
 use prebake_sim::mem::{Page, Prot, VirtAddr, Vma, VmaKind, PAGE_SIZE};
 use prebake_sim::proc::{FdEntry, Pid, Regs, Tid};
 
@@ -83,15 +84,6 @@ impl fmt::Display for ImageError {
 }
 
 impl std::error::Error for ImageError {}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Content hash of a page frame, as used by the dedup page store.
 ///

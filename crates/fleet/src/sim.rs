@@ -29,12 +29,13 @@
 //! coordinator in a byte-stable order (k-way merge by dispatch time,
 //! lowest shard first on ties).
 //!
-//! Million-invocation traces stream through [`FleetSim::run_stream`]
-//! without materialising a schedule: arrivals are pulled lazily from
-//! the iterator and injected epoch-by-epoch
-//! ([`FleetConfig::stream_epoch`] of virtual time per wave), and the
-//! per-request log can be dropped ([`FleetConfig::retain_completed`])
-//! so memory stays flat while the histograms keep the distributions.
+//! Every run goes through [`FleetSim::run_stream`]: arrivals are pulled
+//! lazily from a time-sorted iterator and injected epoch by epoch (one
+//! virtual second per wave), so a million-invocation trace never
+//! becomes a schedule; [`FleetSim::run`] streams a collected
+//! [`Schedule`]. The per-request log can be dropped
+//! ([`FleetConfig::retain_completed`]) so memory stays flat while the
+//! histograms keep the distributions.
 //!
 //! Everything is deterministic for a fixed seed and shard count: all
 //! state lives in `BTreeMap`s, each shard's event queue breaks time
@@ -100,6 +101,10 @@ impl Default for RegistryConfig {
     }
 }
 
+/// Virtual-time width of one [`FleetSim::run_stream`] injection epoch.
+/// Only a batching granularity — results never depend on it.
+const STREAM_EPOCH: SimDuration = SimDuration::from_secs(1);
+
 /// Fleet-wide configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -138,9 +143,6 @@ pub struct FleetConfig {
     /// execution detail: threaded and serial drains of the same
     /// configuration produce identical results.
     pub threads: bool,
-    /// Virtual-time width of one [`FleetSim::run_stream`] injection
-    /// epoch. Only a batching granularity — results never depend on it.
-    pub stream_epoch: SimDuration,
     /// Keep the per-request [`FleetRequest`] log. Disable for
     /// million-invocation runs: histograms (including the cold-only
     /// latency split) still capture the distributions while memory
@@ -171,7 +173,6 @@ impl Default for FleetConfig {
             obs: None,
             shards: 1,
             threads: true,
-            stream_epoch: SimDuration::from_secs(1),
             retain_completed: true,
             gateway: None,
         }
@@ -1548,7 +1549,8 @@ impl FleetSim {
         Ok(())
     }
 
-    /// Submits every arrival of `schedule`, then runs to quiescence.
+    /// Runs a collected schedule to quiescence through
+    /// [`FleetSim::run_stream`].
     ///
     /// # Errors
     ///
@@ -1560,38 +1562,34 @@ impl FleetSim {
                 return Err(FleetError::UnknownFunction(arrival.function.clone()));
             }
         }
-        self.lease();
-        for arrival in schedule.arrivals() {
-            self.submit(arrival.at, &arrival.function)?;
-        }
-        self.drive(None);
-        self.fold();
-        Ok(())
+        self.run_stream(schedule.arrivals().iter().cloned().map(Ok))
     }
 
     /// Runs a lazily-produced arrival stream to quiescence without ever
     /// materialising the whole schedule: arrivals are injected in
-    /// epochs of [`FleetConfig::stream_epoch`] virtual time and the
-    /// shards drain up to each epoch boundary before the next wave.
-    /// The stream must be time-sorted (as [`ArrivalGen`] and
-    /// [`MergedArrivals`] produce); results are identical to
-    /// [`FleetSim::run`] on the equivalent materialised schedule.
+    /// epochs of one virtual second and the shards drain up to each
+    /// epoch boundary before the next wave. The epoch is only a
+    /// batching granularity — results never depend on it. The stream
+    /// must be time-sorted (as [`ArrivalGen`], [`MergedArrivals`] and
+    /// [`Schedule`] are).
     ///
     /// [`ArrivalGen`]: prebake_platform::loadgen::ArrivalGen
     /// [`MergedArrivals`]: prebake_platform::loadgen::MergedArrivals
     ///
     /// # Errors
     ///
-    /// [`FleetError::UnknownFunction`] for an unregistered function and
-    /// [`FleetError::Load`] for a stream-side failure. Validation is
-    /// necessarily lazy — arrivals already injected stay processed, and
-    /// everything drained so far is folded in before the error returns.
+    /// [`FleetError::UnknownFunction`] for an unregistered function,
+    /// [`FleetError::Load`] for a stream-side failure, and
+    /// `FleetError::Load(LoadError::Unsorted(n))` when arrival `n` is
+    /// earlier than the one before it. Validation is necessarily lazy —
+    /// arrivals already injected stay processed, and everything drained
+    /// so far is folded in before the error returns.
     pub fn run_stream<I>(&mut self, stream: I) -> Result<(), FleetError>
     where
         I: IntoIterator<Item = LoadResult<Arrival>>,
     {
         self.lease();
-        let result = self.pump(&mut stream.into_iter());
+        let result = self.pump(stream.into_iter());
         if result.is_ok() {
             self.drive(None);
         }
@@ -1601,11 +1599,21 @@ impl FleetSim {
 
     /// The epoch loop of [`FleetSim::run_stream`]: pull one lookahead
     /// arrival, inject every arrival strictly inside its epoch window,
-    /// drain up to the boundary, repeat.
+    /// drain up to the boundary, repeat. Each arrival is checked
+    /// against its predecessor on the way in.
     fn pump(
         &mut self,
-        stream: &mut impl Iterator<Item = LoadResult<Arrival>>,
+        stream: impl Iterator<Item = LoadResult<Arrival>>,
     ) -> Result<(), FleetError> {
+        let mut last = SimInstant::EPOCH;
+        let mut stream = stream.enumerate().map(|(i, arrival)| {
+            let arrival = arrival?;
+            if arrival.at < last {
+                return Err(LoadError::Unsorted(i + 1));
+            }
+            last = arrival.at;
+            Ok(arrival)
+        });
         let mut pending: Option<Arrival> = None;
         loop {
             let Some(head) = pending
@@ -1614,11 +1622,8 @@ impl FleetSim {
             else {
                 return Ok(());
             };
-            let epoch_end = SimInstant::from_nanos(
-                head.at
-                    .as_nanos()
-                    .saturating_add(self.config.stream_epoch.as_nanos()),
-            );
+            let epoch_end =
+                SimInstant::from_nanos(head.at.as_nanos().saturating_add(STREAM_EPOCH.as_nanos()));
             self.submit(head.at, &head.function)?;
             for arrival in stream.by_ref() {
                 let arrival = arrival?;
@@ -1859,6 +1864,7 @@ mod tests {
     use super::*;
     use crate::policy::{KeepAlive, StartSelection};
     use crate::profile::{Gear, GearCost};
+    use prebake_platform::loadgen::ArrivalGen;
 
     fn profile(name: &str) -> FunctionProfile {
         FunctionProfile::synthetic(
@@ -1888,6 +1894,11 @@ mod tests {
         )
     }
 
+    /// Collects a generator into a schedule, panicking on any error.
+    fn collect(gen: LoadResult<ArrivalGen>) -> Schedule {
+        Schedule::from_stream(gen.unwrap()).unwrap()
+    }
+
     fn sim(config: FleetConfig) -> FleetSim {
         let mut s = FleetSim::new(config);
         s.register(profile("fn-a"));
@@ -1901,7 +1912,7 @@ mod tests {
             s.submit(SimInstant::EPOCH, "ghost").unwrap_err(),
             FleetError::UnknownFunction("ghost".to_owned())
         );
-        let schedule = Schedule::burst("ghost", 1, SimInstant::EPOCH).unwrap();
+        let schedule = collect(ArrivalGen::burst("ghost", 1, SimInstant::EPOCH));
         assert!(s.run(&schedule).is_err());
         assert!(s.completed().is_empty());
     }
@@ -1909,7 +1920,7 @@ mod tests {
     #[test]
     fn single_arrival_cold_starts_and_completes() {
         let mut s = sim(FleetConfig::default());
-        let schedule = Schedule::burst("fn-a", 1, SimInstant::EPOCH).unwrap();
+        let schedule = collect(ArrivalGen::burst("fn-a", 1, SimInstant::EPOCH));
         s.run(&schedule).unwrap();
         assert_eq!(s.completed().len(), 1);
         let r = &s.completed()[0];
@@ -1927,8 +1938,12 @@ mod tests {
     #[test]
     fn warm_replica_reused_within_ttl() {
         let mut s = sim(FleetConfig::default());
-        let schedule =
-            Schedule::constant("fn-a", 3, SimInstant::EPOCH, SimDuration::from_secs(1)).unwrap();
+        let schedule = collect(ArrivalGen::constant(
+            "fn-a",
+            3,
+            SimInstant::EPOCH,
+            SimDuration::from_secs(1),
+        ));
         s.run(&schedule).unwrap();
         assert_eq!(s.completed().len(), 3);
         assert_eq!(s.metrics().cold_starts.get(), 1, "only the first is cold");
@@ -1944,8 +1959,12 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut s = sim(config);
-        let schedule =
-            Schedule::constant("fn-a", 2, SimInstant::EPOCH, SimDuration::from_secs(60)).unwrap();
+        let schedule = collect(ArrivalGen::constant(
+            "fn-a",
+            2,
+            SimInstant::EPOCH,
+            SimDuration::from_secs(60),
+        ));
         s.run(&schedule).unwrap();
         assert_eq!(s.completed().len(), 2);
         assert_eq!(s.metrics().cold_starts.get(), 2, "ttl expired in the gap");
@@ -1960,7 +1979,7 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut s = sim(config);
-        let schedule = Schedule::burst("fn-a", 10, SimInstant::EPOCH).unwrap();
+        let schedule = collect(ArrivalGen::burst("fn-a", 10, SimInstant::EPOCH));
         s.run(&schedule).unwrap();
         assert_eq!(s.completed().len(), 10);
         assert_eq!(s.metrics().replicas_started.get(), 3, "ceiling respected");
@@ -1974,7 +1993,7 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut s = sim(config);
-        let schedule = Schedule::burst("fn-a", 20, SimInstant::EPOCH).unwrap();
+        let schedule = collect(ArrivalGen::burst("fn-a", 20, SimInstant::EPOCH));
         s.run(&schedule).unwrap();
         // 1 dispatched immediately is impossible (replica cold), so the
         // queue holds 4 and the rest shed.
@@ -1993,7 +2012,7 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut s = sim(config);
-        let schedule = Schedule::burst("fn-a", 12, SimInstant::EPOCH).unwrap();
+        let schedule = collect(ArrivalGen::burst("fn-a", 12, SimInstant::EPOCH));
         s.run(&schedule).unwrap();
         assert_eq!(s.completed().len(), 12, "all served eventually");
         assert_eq!(
@@ -2024,11 +2043,9 @@ mod tests {
         s.register(profile("fn-a"));
         s.register(profile("fn-b"));
         // fn-a warms up first; fn-b arrives later and needs the memory.
-        let schedule = Schedule::burst("fn-a", 1, SimInstant::EPOCH)
-            .unwrap()
-            .merge(
-                Schedule::burst("fn-b", 1, SimInstant::EPOCH + SimDuration::from_secs(10)).unwrap(),
-            );
+        let schedule = collect(ArrivalGen::burst("fn-a", 1, SimInstant::EPOCH)).merge(collect(
+            ArrivalGen::burst("fn-b", 1, SimInstant::EPOCH + SimDuration::from_secs(10)),
+        ));
         s.run(&schedule).unwrap();
         assert_eq!(s.completed().len(), 2, "eviction made room for fn-b");
         assert_eq!(s.metrics().evictions.get(), 1);
@@ -2044,11 +2061,9 @@ mod tests {
         let mut stuck = FleetSim::new(config);
         stuck.register(profile("fn-a"));
         stuck.register(profile("fn-b"));
-        let schedule = Schedule::burst("fn-a", 1, SimInstant::EPOCH)
-            .unwrap()
-            .merge(
-                Schedule::burst("fn-b", 1, SimInstant::EPOCH + SimDuration::from_secs(10)).unwrap(),
-            );
+        let schedule = collect(ArrivalGen::burst("fn-a", 1, SimInstant::EPOCH)).merge(collect(
+            ArrivalGen::burst("fn-b", 1, SimInstant::EPOCH + SimDuration::from_secs(10)),
+        ));
         stuck.run(&schedule).unwrap();
         assert_eq!(stuck.metrics().evictions.get(), 0);
         assert_eq!(
@@ -2067,8 +2082,12 @@ mod tests {
     fn histogram_prewarm_converts_cold_starts_to_warm() {
         // Periodic arrivals every 20s; fixed 5s TTL always expires the
         // replica in the gap, so every arrival is cold.
-        let arrivals =
-            Schedule::constant("fn-a", 10, SimInstant::EPOCH, SimDuration::from_secs(20)).unwrap();
+        let arrivals = collect(ArrivalGen::constant(
+            "fn-a",
+            10,
+            SimInstant::EPOCH,
+            SimDuration::from_secs(20),
+        ));
         let fixed = FleetConfig {
             policy: Policy {
                 keep_alive: KeepAlive::FixedTtl(SimDuration::from_secs(5)),
@@ -2129,7 +2148,7 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut s = sim(config);
-        let schedule = Schedule::burst("fn-a", 1, SimInstant::EPOCH).unwrap();
+        let schedule = collect(ArrivalGen::burst("fn-a", 1, SimInstant::EPOCH));
         s.run(&schedule).unwrap();
         let r = &s.completed()[0];
         // Prefetch profile: ~30ms cold + ~4ms first service.
@@ -2150,7 +2169,7 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut s = sim(config);
-        s.run(&Schedule::burst("fn-a", 1, SimInstant::EPOCH).unwrap())
+        s.run(&collect(ArrivalGen::burst("fn-a", 1, SimInstant::EPOCH)))
             .unwrap();
         assert_eq!(s.completed().len(), 1, "fallback keeps the function up");
     }
@@ -2169,7 +2188,7 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut s = sim(config);
-        s.run(&Schedule::burst("fn-a", 1, SimInstant::EPOCH).unwrap())
+        s.run(&collect(ArrivalGen::burst("fn-a", 1, SimInstant::EPOCH)))
             .unwrap();
         assert_eq!(s.completed().len(), 1, "request is served, not stranded");
         assert!(
@@ -2191,7 +2210,7 @@ mod tests {
                 ..FleetConfig::default()
             };
             let mut s = sim(config);
-            s.run(&Schedule::burst("fn-a", 1, SimInstant::EPOCH).unwrap())
+            s.run(&collect(ArrivalGen::burst("fn-a", 1, SimInstant::EPOCH)))
                 .unwrap();
             s
         };
@@ -2232,12 +2251,9 @@ mod tests {
             let mut s = FleetSim::new(config);
             s.register(profile("fn-a"));
             s.register(profile("fn-b"));
-            let schedule = Schedule::burst("fn-a", 1, SimInstant::EPOCH)
-                .unwrap()
-                .merge(
-                    Schedule::burst("fn-b", 1, SimInstant::EPOCH + SimDuration::from_secs(1))
-                        .unwrap(),
-                );
+            let schedule = collect(ArrivalGen::burst("fn-a", 1, SimInstant::EPOCH)).merge(collect(
+                ArrivalGen::burst("fn-b", 1, SimInstant::EPOCH + SimDuration::from_secs(1)),
+            ));
             s.run(&schedule).unwrap();
             s.metrics().registry_egress_bytes.get()
         };
@@ -2267,9 +2283,12 @@ mod tests {
                 ..FleetConfig::default()
             };
             let mut s = sim(config);
-            let schedule =
-                Schedule::constant("fn-a", 2, SimInstant::EPOCH, SimDuration::from_secs(60))
-                    .unwrap();
+            let schedule = collect(ArrivalGen::constant(
+                "fn-a",
+                2,
+                SimInstant::EPOCH,
+                SimDuration::from_secs(60),
+            ));
             s.run(&schedule).unwrap();
             assert_eq!(s.metrics().cold_starts.get(), 2);
             s
@@ -2316,12 +2335,9 @@ mod tests {
             let mut s = FleetSim::new(config);
             s.register(profile("fn-a"));
             s.register(profile("fn-b"));
-            let schedule = Schedule::burst("fn-a", 1, SimInstant::EPOCH)
-                .unwrap()
-                .merge(
-                    Schedule::burst("fn-b", 2, SimInstant::EPOCH + SimDuration::from_secs(1))
-                        .unwrap(),
-                );
+            let schedule = collect(ArrivalGen::burst("fn-a", 1, SimInstant::EPOCH)).merge(collect(
+                ArrivalGen::burst("fn-b", 2, SimInstant::EPOCH + SimDuration::from_secs(1)),
+            ));
             s.run(&schedule).unwrap();
             s
         };
@@ -2361,8 +2377,12 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut s = sim(config);
-        let arrivals =
-            Schedule::constant("fn-a", 10, SimInstant::EPOCH, SimDuration::from_secs(20)).unwrap();
+        let arrivals = collect(ArrivalGen::constant(
+            "fn-a",
+            10,
+            SimInstant::EPOCH,
+            SimDuration::from_secs(20),
+        ));
         s.run(&arrivals).unwrap();
         assert!(
             s.metrics().prepulls.get() >= 6,
@@ -2385,7 +2405,7 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut s = sim(config);
-        s.run(&Schedule::burst("fn-a", 1, SimInstant::EPOCH).unwrap())
+        s.run(&collect(ArrivalGen::burst("fn-a", 1, SimInstant::EPOCH)))
             .unwrap();
         let spans = s.take_spans();
         let root = spans
@@ -2427,24 +2447,20 @@ mod tests {
             let mut s = FleetSim::new(config);
             s.register(profile("fn-a"));
             s.register(profile("fn-b"));
-            let schedule = Schedule::poisson(
+            let schedule = collect(ArrivalGen::poisson(
                 "fn-a",
                 40,
                 SimInstant::EPOCH,
                 SimDuration::from_millis(800),
                 3,
-            )
-            .unwrap()
-            .merge(
-                Schedule::poisson(
-                    "fn-b",
-                    40,
-                    SimInstant::EPOCH,
-                    SimDuration::from_millis(800),
-                    4,
-                )
-                .unwrap(),
-            );
+            ))
+            .merge(collect(ArrivalGen::poisson(
+                "fn-b",
+                40,
+                SimInstant::EPOCH,
+                SimDuration::from_millis(800),
+                4,
+            )));
             s.run(&schedule).unwrap();
             (
                 s.render_metrics(),
@@ -2463,14 +2479,13 @@ mod tests {
                 ..FleetConfig::default()
             };
             let mut s = sim(config);
-            let schedule = Schedule::poisson(
+            let schedule = collect(ArrivalGen::poisson(
                 "fn-a",
                 50,
                 SimInstant::EPOCH,
                 SimDuration::from_millis(500),
                 seed,
-            )
-            .unwrap();
+            ));
             s.run(&schedule).unwrap();
             (
                 s.completed()
@@ -2498,8 +2513,12 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut s = sim(config);
-        let schedule =
-            Schedule::constant("fn-a", 2, SimInstant::EPOCH, SimDuration::from_secs(1)).unwrap();
+        let schedule = collect(ArrivalGen::constant(
+            "fn-a",
+            2,
+            SimInstant::EPOCH,
+            SimDuration::from_secs(1),
+        ));
         s.run(&schedule).unwrap();
         let spans = s.take_spans();
         let roots: Vec<_> = spans
@@ -2534,7 +2553,7 @@ mod tests {
         // Off by default.
         let mut quiet = sim(FleetConfig::default());
         quiet
-            .run(&Schedule::burst("fn-a", 1, SimInstant::EPOCH).unwrap())
+            .run(&collect(ArrivalGen::burst("fn-a", 1, SimInstant::EPOCH)))
             .unwrap();
         assert!(quiet.take_spans().is_empty());
     }
@@ -2549,8 +2568,12 @@ mod tests {
         let mut s = sim(config);
         // 10 arrivals over 150s: the first window sees the cold start,
         // later windows only warm serves.
-        let schedule =
-            Schedule::constant("fn-a", 10, SimInstant::EPOCH, SimDuration::from_secs(15)).unwrap();
+        let schedule = collect(ArrivalGen::constant(
+            "fn-a",
+            10,
+            SimInstant::EPOCH,
+            SimDuration::from_secs(15),
+        ));
         s.run(&schedule).unwrap();
         let obs = s.obs().expect("configured");
         let rec = &obs.recorder;
@@ -2603,8 +2626,12 @@ mod tests {
             ..FleetConfig::default()
         };
         let mut s = sim(config);
-        let schedule =
-            Schedule::constant("fn-a", 20, SimInstant::EPOCH, SimDuration::from_secs(1)).unwrap();
+        let schedule = collect(ArrivalGen::constant(
+            "fn-a",
+            20,
+            SimInstant::EPOCH,
+            SimDuration::from_secs(1),
+        ));
         s.run(&schedule).unwrap();
         let obs = s.obs().expect("configured");
         assert_eq!(obs.sampling.trees_kept, 1, "only the cold breach");
@@ -2645,14 +2672,13 @@ mod tests {
                 ..FleetConfig::default()
             };
             let mut s = sim(config);
-            let schedule = Schedule::poisson(
+            let schedule = collect(ArrivalGen::poisson(
                 "fn-a",
                 80,
                 SimInstant::EPOCH,
                 SimDuration::from_millis(400),
                 3,
-            )
-            .unwrap();
+            ));
             s.run(&schedule).unwrap();
             let spans = s.take_spans();
             let obs = s.obs().expect("configured");
@@ -2680,16 +2706,19 @@ mod tests {
     }
 
     fn two_tenant_workload() -> Schedule {
-        let a = Schedule::poisson(
+        let a = collect(ArrivalGen::poisson(
             "fn-a",
             60,
             SimInstant::EPOCH,
             SimDuration::from_millis(400),
             11,
-        )
-        .unwrap();
-        let b = Schedule::constant("fn-b", 60, SimInstant::EPOCH, SimDuration::from_millis(700))
-            .unwrap();
+        ));
+        let b = collect(ArrivalGen::constant(
+            "fn-b",
+            60,
+            SimInstant::EPOCH,
+            SimDuration::from_millis(700),
+        ));
         a.merge(b)
     }
 
@@ -2766,25 +2795,6 @@ mod tests {
     }
 
     #[test]
-    fn run_stream_matches_run_exactly() {
-        for shards in [1, 2] {
-            let schedule = two_tenant_workload();
-            let mut eager = two_tenant_sim(shard_config(shards, true));
-            eager.run(&schedule).unwrap();
-            let mut streamed = two_tenant_sim(shard_config(shards, true));
-            streamed
-                .run_stream(schedule.arrivals().iter().cloned().map(Ok))
-                .unwrap();
-            assert_eq!(
-                fingerprint(&mut eager),
-                fingerprint(&mut streamed),
-                "streaming changed results at {shards} shards"
-            );
-            assert_eq!(eager.take_spans(), streamed.take_spans());
-        }
-    }
-
-    #[test]
     fn run_stream_surfaces_stream_errors_after_folding() {
         let mut s = two_tenant_sim(shard_config(2, true));
         let stream = [
@@ -2816,6 +2826,30 @@ mod tests {
             s.run_stream(ghost).unwrap_err(),
             FleetError::UnknownFunction("ghost".to_owned())
         );
+    }
+
+    #[test]
+    fn run_stream_rejects_an_unsorted_stream_after_folding() {
+        let at = |secs: u64, function: &str| {
+            Ok(Arrival {
+                at: SimInstant::EPOCH + SimDuration::from_secs(secs),
+                function: function.to_owned(),
+            })
+        };
+        let mut s = two_tenant_sim(shard_config(2, true));
+        // The third arrival goes back in time: it would replay late.
+        let stream = [at(0, "fn-a"), at(10, "fn-b"), at(5, "fn-a"), at(20, "fn-a")];
+        assert_eq!(
+            s.run_stream(stream).unwrap_err(),
+            FleetError::Load(LoadError::Unsorted(3))
+        );
+        // The epoch drained before the failure was folded in.
+        assert_eq!(s.metrics().requests.get(), 1);
+        // Equal instants are sorted.
+        let mut s = two_tenant_sim(shard_config(2, true));
+        s.run_stream([at(1, "fn-a"), at(1, "fn-b"), at(1, "fn-a")])
+            .unwrap();
+        assert_eq!(s.metrics().requests.get(), 3);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use prebake_fleet::{
     StartSelection,
 };
 use prebake_functions::{FunctionSpec, SyntheticSize};
-use prebake_platform::loadgen::Schedule;
+use prebake_platform::loadgen::{ArrivalGen, LoadResult, Schedule};
 use prebake_sim::time::{SimDuration, SimInstant};
 
 fn measured_mix() -> Vec<FunctionProfile> {
@@ -23,13 +23,22 @@ fn measured_mix() -> Vec<FunctionProfile> {
         .collect()
 }
 
+/// Collects a generator into a schedule, panicking on any error.
+fn collect(gen: LoadResult<ArrivalGen>) -> Schedule {
+    Schedule::from_stream(gen.unwrap()).unwrap()
+}
+
 fn trace(profiles: &[FunctionProfile]) -> Schedule {
     let mut schedule = Schedule::default();
     for (i, p) in profiles.iter().enumerate() {
-        schedule = schedule.merge(
-            Schedule::pareto(p.name(), 40, SimInstant::EPOCH, 2_000.0, 1.5, 11 + i as u64)
-                .expect("valid pareto args"),
-        );
+        schedule = schedule.merge(collect(ArrivalGen::pareto(
+            p.name(),
+            40,
+            SimInstant::EPOCH,
+            2_000.0,
+            1.5,
+            11 + i as u64,
+        )));
     }
     // Round-trip through CSV: the fleet consumes the replayed trace the
     // way an operator would feed a recorded production workload back in.
@@ -103,7 +112,14 @@ fn fleet_runs_are_deterministic_across_processes() {
             },
         )],
     );
-    let schedule = Schedule::pareto("det", 100, SimInstant::EPOCH, 500.0, 1.2, 42).unwrap();
+    let schedule = collect(ArrivalGen::pareto(
+        "det",
+        100,
+        SimInstant::EPOCH,
+        500.0,
+        1.2,
+        42,
+    ));
     let render = || {
         let mut sim = FleetSim::new(FleetConfig {
             policy: Policy {
@@ -156,7 +172,14 @@ fn gateway_fleet(gateway: GatewayConfig, workers: usize) -> FleetSim {
 
 #[test]
 fn gateway_frontier_conserves_and_reruns_byte_identically() {
-    let schedule = Schedule::pareto("gw", 200, SimInstant::EPOCH, 200.0, 1.3, 7).unwrap();
+    let schedule = collect(ArrivalGen::pareto(
+        "gw",
+        200,
+        SimInstant::EPOCH,
+        200.0,
+        1.3,
+        7,
+    ));
     let run = || {
         let mut sim = gateway_fleet(
             GatewayConfig {
@@ -188,8 +211,12 @@ fn gateway_frontier_conserves_and_reruns_byte_identically() {
 
 #[test]
 fn gateway_cache_short_circuits_repeat_invocations() {
-    let schedule =
-        Schedule::constant("gw", 100, SimInstant::EPOCH, SimDuration::from_millis(50)).unwrap();
+    let schedule = collect(ArrivalGen::constant(
+        "gw",
+        100,
+        SimInstant::EPOCH,
+        SimDuration::from_millis(50),
+    ));
     let mut sim = gateway_fleet(
         GatewayConfig {
             cache: CacheConfig {

@@ -1,15 +1,13 @@
 //! Property tests for the sharded fleet event loop: for arbitrary
 //! multi-tenant workloads, threading must be invisible (a threaded
-//! drain equals a serial drain of the same shard count, bit for bit)
-//! and the streaming runner must equal the eager runner on the
-//! materialised schedule.
+//! drain equals a serial drain of the same shard count, bit for bit).
 
 use proptest::prelude::*;
 
 use prebake_fleet::policy::{KeepAlive, Policy, StartSelection};
 use prebake_fleet::profile::{FunctionProfile, Gear, GearCost};
 use prebake_fleet::sim::{FleetConfig, FleetSim, RegistryConfig};
-use prebake_platform::loadgen::Schedule;
+use prebake_platform::loadgen::{ArrivalGen, Schedule};
 use prebake_sim::time::{SimDuration, SimInstant};
 
 fn profile(name: &str, mem_mb: u64, image_mb: u64) -> FunctionProfile {
@@ -40,19 +38,12 @@ fn profile(name: &str, mem_mb: u64, image_mb: u64) -> FunctionProfile {
     )
 }
 
-fn build(
-    shards: usize,
-    threads: bool,
-    seed: u64,
-    tenants: usize,
-    stream_epoch: SimDuration,
-) -> FleetSim {
+fn build(shards: usize, threads: bool, seed: u64, tenants: usize) -> FleetSim {
     let mut sim = FleetSim::new(FleetConfig {
         workers: 8,
         shards,
         threads,
         seed,
-        stream_epoch,
         policy: Policy {
             keep_alive: KeepAlive::FixedTtl(SimDuration::from_secs(3)),
             start: StartSelection::Adaptive,
@@ -75,13 +66,14 @@ fn build(
 fn workload(tenants: usize, arrivals: usize, seed: u64) -> Schedule {
     let mut merged: Option<Schedule> = None;
     for t in 0..tenants {
-        let s = Schedule::poisson(
+        let s = ArrivalGen::poisson(
             &format!("fn-{t}"),
             arrivals,
             SimInstant::EPOCH + SimDuration::from_millis(37 * t as u64),
             SimDuration::from_millis(150 + 90 * t as u64),
             seed ^ (t as u64).wrapping_mul(0x9e37_79b9),
         )
+        .and_then(Schedule::from_stream)
         .unwrap();
         merged = Some(match merged {
             None => s,
@@ -132,33 +124,10 @@ proptest! {
     ) {
         let shards = [1usize, 2, 4, 8][shard_idx];
         let schedule = workload(tenants, arrivals, seed);
-        let epoch = SimDuration::from_secs(1);
-        let mut threaded = build(shards, true, seed, tenants, epoch);
+        let mut threaded = build(shards, true, seed, tenants);
         threaded.run(&schedule).unwrap();
-        let mut serial = build(shards, false, seed, tenants, epoch);
+        let mut serial = build(shards, false, seed, tenants);
         serial.run(&schedule).unwrap();
         prop_assert_eq!(fingerprint(&mut threaded), fingerprint(&mut serial));
-    }
-
-    /// The lazy streaming runner equals the eager runner on the
-    /// materialised schedule, for any epoch width.
-    #[test]
-    fn streaming_equals_eager(
-        shard_idx in 0usize..3,
-        tenants in 1usize..4,
-        arrivals in 1usize..30,
-        seed in 0u64..1000,
-        epoch_idx in 0usize..4,
-    ) {
-        let shards = [1usize, 2, 4][shard_idx];
-        let epoch_ms = [1u64, 100, 1_000, 60_000][epoch_idx];
-        let schedule = workload(tenants, arrivals, seed);
-        let mut eager = build(shards, true, seed, tenants, SimDuration::from_secs(1));
-        eager.run(&schedule).unwrap();
-        let mut streamed = build(shards, true, seed, tenants, SimDuration::from_millis(epoch_ms));
-        streamed
-            .run_stream(schedule.arrivals().iter().cloned().map(Ok))
-            .unwrap();
-        prop_assert_eq!(fingerprint(&mut eager), fingerprint(&mut streamed));
     }
 }

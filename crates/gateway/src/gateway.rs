@@ -26,6 +26,7 @@ use prebake_platform::loadgen::LoadError;
 use prebake_platform::{CompletedRequest, Platform};
 use prebake_runtime::http::Request;
 use prebake_sim::error::Errno;
+use prebake_sim::hash::{fnv1a, fnv1a_continue};
 use prebake_sim::time::{SimDuration, SimInstant};
 
 use crate::admission::{AdmissionController, AdmissionOutcome, AdmissionStats};
@@ -481,13 +482,7 @@ impl Gateway {
 /// deterministic, allocation-light, and collision-safe enough for a
 /// simulator's cache (same function + same request bytes ⇒ same key).
 fn cache_key(function: &str, req: &Request) -> String {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for byte in req.path.bytes().chain(req.body.iter().copied()) {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(PRIME);
-    }
+    let h = fnv1a_continue(fnv1a(req.path.as_bytes()), &req.body);
     format!("{function}\u{1}{h:016x}")
 }
 

@@ -8,6 +8,7 @@
 //! hashes (seed, trace id) — no RNG state — so a given workload keeps
 //! exactly the same trace ids on every run, machine-independently.
 
+use prebake_sim::hash::{fnv1a, fnv1a_continue};
 use prebake_sim::trace::TraceSpan;
 
 /// Sampler shape.
@@ -57,17 +58,10 @@ impl TailSampler {
 
     /// Uniform-ish hash of a trace id into `[0, 1)` (seeded FNV-1a).
     pub fn hash01(&self, trace_id: u64) -> f64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self
-            .config
-            .seed
-            .to_le_bytes()
-            .into_iter()
-            .chain(trace_id.to_le_bytes())
-        {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = fnv1a_continue(
+            fnv1a(&self.config.seed.to_le_bytes()),
+            &trace_id.to_le_bytes(),
+        );
         // Top 53 bits -> exactly representable f64 in [0, 1).
         (h >> 11) as f64 / (1u64 << 53) as f64
     }

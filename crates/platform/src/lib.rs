@@ -13,10 +13,13 @@
 //!   floors, multi-node placement with per-node cold-start concurrency,
 //!   and watchdog-style crash recovery (a dead replica is replaced and
 //!   its request retried)
-//! - [`loadgen`] — the paper's hold-first-request constant-rate
-//!   generator, plus Poisson, burst, heavy-tailed (Pareto) and
-//!   empirical-bootstrap patterns, and CSV trace replay via
-//!   [`loadgen::Schedule`]
+//! - [`loadgen`] — arrival streams: [`loadgen::ArrivalGen`] generates
+//!   the paper's constant-rate load plus burst, Poisson, heavy-tailed
+//!   (Pareto) and empirical-bootstrap patterns, [`loadgen::PoissonProcess`]
+//!   the open loop, [`loadgen::CsvArrivalStream`] and
+//!   [`loadgen::write_csv_stream`] the trace codec, and
+//!   [`loadgen::Schedule`] the collected, mergeable form that replays
+//!   into a platform
 //! - [`metrics`] — Prometheus-style gateway metrics
 //! - [`openfaas`] — `faas-cli new/build/push/deploy`, the gateway and the
 //!   privileged-restore requirement

@@ -8,12 +8,14 @@
 //! observed gaps, and recorded traces replayed from CSV — the
 //! multi-tenant workloads the fleet scheduler (`prebake-fleet`) faces.
 //!
-//! The module is built around [`Schedule`]: an ordered list of
-//! `(instant, function)` arrivals that can be generated, merged,
-//! serialised to CSV and replayed — either into a [`Platform`] or into
-//! any other consumer of the arrival stream. The original free functions
-//! ([`constant_rate`], [`poisson`], [`burst`]) remain as validated
-//! wrappers that generate and submit in one call.
+//! Every workload is an arrival stream: an iterator of
+//! `LoadResult<Arrival>`. [`ArrivalGen`] generates the constant, burst,
+//! Poisson, Pareto and empirical shapes, [`PoissonProcess`] the
+//! rate-and-horizon open loop, [`CsvArrivalStream`] reads a recorded
+//! trace and [`MergedArrivals`] interleaves tenants. A [`Schedule`] is a
+//! stream collected into an ordered list ([`Schedule::from_stream`]) so
+//! it can be merged, serialised ([`write_csv_stream`]) and replayed into
+//! a [`Platform`] or any other consumer.
 //!
 //! All generators are deterministic per seed, produce strictly
 //! monotonically increasing arrival times (bursts excepted, which are
@@ -52,6 +54,9 @@ pub enum LoadError {
     Submit(Errno),
     /// Reading or writing a streamed CSV trace failed at the I/O layer.
     Io(std::io::ErrorKind),
+    /// A consumer that needs time order got an arrival earlier than the
+    /// one before it (1-based position in the stream).
+    Unsorted(usize),
 }
 
 impl fmt::Display for LoadError {
@@ -69,6 +74,9 @@ impl fmt::Display for LoadError {
             LoadError::Malformed(line) => write!(f, "malformed trace CSV at line {line}"),
             LoadError::Submit(e) => write!(f, "submission failed: {e}"),
             LoadError::Io(kind) => write!(f, "trace stream I/O failed: {kind}"),
+            LoadError::Unsorted(n) => {
+                write!(f, "arrival {n} is earlier than the arrival before it")
+            }
         }
     }
 }
@@ -93,11 +101,13 @@ pub struct Arrival {
     pub function: String,
 }
 
-/// An ordered multi-tenant arrival schedule.
+/// An ordered multi-tenant arrival schedule: an arrival stream
+/// collected by [`Schedule::from_stream`].
 ///
-/// Generators build per-function schedules; [`Schedule::merge`] folds
-/// them into one fleet-wide trace ordered by time (ties keep the
-/// left-hand side first, so merging is deterministic).
+/// [`Schedule::merge`] folds per-function schedules into one fleet-wide
+/// trace ordered by time (ties keep the left-hand side first, so merging
+/// is deterministic). Every arrival carries a function id the CSV format
+/// can hold.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Schedule {
     arrivals: Vec<Arrival>,
@@ -125,164 +135,23 @@ impl Schedule {
         Schedule::default()
     }
 
-    /// `n` arrivals at a constant inter-arrival interval starting at
-    /// `start`.
+    /// Collects a fallible arrival stream into a schedule, sorting by
+    /// time (stable for equal instants — stream order is kept).
     ///
     /// # Errors
     ///
-    /// [`LoadError::InvalidRate`] if `interval` is zero and `n > 1`
-    /// (distinct arrivals could not advance); [`LoadError::Overflow`] if
-    /// the ticks leave the virtual-time range.
-    pub fn constant(
-        function: &str,
-        n: usize,
-        start: SimInstant,
-        interval: SimDuration,
+    /// The first error the stream yields (for an [`ArrivalGen`] that
+    /// leaves virtual time, [`LoadError::Overflow`]);
+    /// [`LoadError::InvalidFunction`] for a function id the CSV format
+    /// cannot carry.
+    pub fn from_stream(
+        stream: impl IntoIterator<Item = LoadResult<Arrival>>,
     ) -> LoadResult<Schedule> {
-        validate_function(function)?;
-        if interval.is_zero() && n > 1 {
-            return Err(LoadError::InvalidRate);
-        }
-        let mut arrivals = Vec::with_capacity(n);
-        let mut t = start;
-        for i in 0..n {
-            arrivals.push(Arrival {
-                at: t,
-                function: function.to_owned(),
-            });
-            if i + 1 < n {
-                t = advance(t, interval)?;
-            }
-        }
-        Ok(Schedule { arrivals })
-    }
-
-    /// `n` arrivals with exponentially distributed inter-arrival times of
-    /// the given mean (an open-loop Poisson process), deterministic in
-    /// `seed`. Gaps are floored at one nanosecond so arrival times are
-    /// strictly increasing.
-    ///
-    /// # Errors
-    ///
-    /// [`LoadError::InvalidRate`] if `mean_interval` is zero;
-    /// [`LoadError::Overflow`] on virtual-time overflow.
-    pub fn poisson(
-        function: &str,
-        n: usize,
-        start: SimInstant,
-        mean_interval: SimDuration,
-        seed: u64,
-    ) -> LoadResult<Schedule> {
-        validate_function(function)?;
-        if mean_interval.is_zero() {
-            return Err(LoadError::InvalidRate);
-        }
-        let mut noise = Noise::new(seed, 0.0);
-        Schedule::from_gaps(function, n, start, || {
-            SimDuration::from_millis_f64(noise.exponential(mean_interval.as_millis_f64()))
-        })
-    }
-
-    /// `n` simultaneous arrivals at `at` (a burst — the demand surge that
-    /// makes cold-start latency visible).
-    ///
-    /// # Errors
-    ///
-    /// [`LoadError::InvalidFunction`] on a malformed function id.
-    pub fn burst(function: &str, n: usize, at: SimInstant) -> LoadResult<Schedule> {
-        validate_function(function)?;
-        Ok(Schedule {
-            arrivals: (0..n)
-                .map(|_| Arrival {
-                    at,
-                    function: function.to_owned(),
-                })
-                .collect(),
-        })
-    }
-
-    /// `n` arrivals with Pareto (heavy-tailed) inter-arrival gaps:
-    /// `gap = scale_ms * u^(-1/alpha)` for uniform `u`, deterministic in
-    /// `seed`. Small `alpha` (e.g. 1.1–1.5) produces the bursty,
-    /// long-gapped arrival processes production FaaS traces show; the
-    /// minimum gap is `scale_ms`.
-    ///
-    /// # Errors
-    ///
-    /// [`LoadError::InvalidShape`] unless `scale_ms > 0` and `alpha > 0`
-    /// (both finite); [`LoadError::Overflow`] on virtual-time overflow.
-    pub fn pareto(
-        function: &str,
-        n: usize,
-        start: SimInstant,
-        scale_ms: f64,
-        alpha: f64,
-        seed: u64,
-    ) -> LoadResult<Schedule> {
-        validate_function(function)?;
-        if !(scale_ms.is_finite() && scale_ms > 0.0 && alpha.is_finite() && alpha > 0.0) {
-            return Err(LoadError::InvalidShape);
-        }
-        let mut noise = Noise::new(seed, 0.0);
-        Schedule::from_gaps(function, n, start, || {
-            // uniform() is in [0, 1); mirror to (0, 1] so u^(-1/alpha)
-            // stays finite.
-            let u = 1.0 - noise.uniform();
-            SimDuration::from_millis_f64(scale_ms * u.powf(-1.0 / alpha))
-        })
-    }
-
-    /// `n` arrivals whose gaps are resampled uniformly (with
-    /// replacement) from an observed set of inter-arrival gaps — the
-    /// empirical-bootstrap workload generator. Feeding it gaps measured
-    /// from a production trace reproduces that trace's marginal
-    /// inter-arrival distribution, heavy tail included.
-    ///
-    /// # Errors
-    ///
-    /// [`LoadError::InvalidShape`] if `observed_gaps_ms` is empty or
-    /// contains a non-finite or negative gap; [`LoadError::Overflow`] on
-    /// virtual-time overflow.
-    pub fn empirical(
-        function: &str,
-        n: usize,
-        start: SimInstant,
-        observed_gaps_ms: &[f64],
-        seed: u64,
-    ) -> LoadResult<Schedule> {
-        validate_function(function)?;
-        if observed_gaps_ms.is_empty()
-            || observed_gaps_ms.iter().any(|g| !g.is_finite() || *g < 0.0)
-        {
-            return Err(LoadError::InvalidShape);
-        }
-        let mut noise = Noise::new(seed, 0.0);
-        Schedule::from_gaps(function, n, start, || {
-            let idx = (noise.uniform() * observed_gaps_ms.len() as f64) as usize;
-            SimDuration::from_millis_f64(observed_gaps_ms[idx.min(observed_gaps_ms.len() - 1)])
-        })
-    }
-
-    /// Shared gap-driven generator: strictly monotonic (gaps floor at
-    /// 1 ns) and overflow-checked.
-    fn from_gaps(
-        function: &str,
-        n: usize,
-        start: SimInstant,
-        mut next_gap: impl FnMut() -> SimDuration,
-    ) -> LoadResult<Schedule> {
-        let mut arrivals = Vec::with_capacity(n);
-        let mut t = start;
-        for i in 0..n {
-            arrivals.push(Arrival {
-                at: t,
-                function: function.to_owned(),
-            });
-            if i + 1 < n {
-                let gap = next_gap().max(SimDuration::from_nanos(1));
-                t = advance(t, gap)?;
-            }
-        }
+        let mut arrivals = stream
+            .into_iter()
+            .map(|a| a.and_then(|a| validate_function(&a.function).map(|()| a)))
+            .collect::<LoadResult<Vec<Arrival>>>()?;
+        arrivals.sort_by_key(|a| a.at);
         Ok(Schedule { arrivals })
     }
 
@@ -318,61 +187,27 @@ impl Schedule {
         self.arrivals.iter().map(|a| a.at).max()
     }
 
-    /// Serialises the schedule as a CSV trace: a `t_ns,function` header
-    /// followed by one row per arrival, nanosecond timestamps. The
-    /// format round-trips bit-exactly through [`Schedule::from_csv`].
+    /// Serialises the schedule as a CSV trace with [`write_csv_stream`].
+    /// The format round-trips bit-exactly through [`Schedule::from_csv`].
     pub fn to_csv(&self) -> String {
-        let mut out = String::from("t_ns,function\n");
-        for a in &self.arrivals {
-            out.push_str(&format!("{},{}\n", a.at.as_nanos(), a.function));
-        }
-        out
+        let mut out = Vec::new();
+        write_csv_stream(&mut out, self.arrivals.iter().cloned().map(Ok))
+            .expect("schedules hold only CSV-safe function ids");
+        String::from_utf8(out).expect("CSV rows are UTF-8")
     }
 
-    /// Parses a CSV trace (the [`Schedule::to_csv`] format; the header
-    /// row and blank lines are optional and ignored). Rows may appear in
+    /// Parses a CSV trace with [`CsvArrivalStream`]. Rows may appear in
     /// any order — the result is sorted by time, stable for equal
     /// instants.
     ///
     /// # Errors
     ///
-    /// [`LoadError::Malformed`] with the 1-based line number of the
-    /// first unparsable row; [`LoadError::InvalidFunction`] for function
-    /// ids the format cannot carry.
+    /// As [`CsvArrivalStream`]: [`LoadError::Malformed`] with the
+    /// 1-based line number of the first unparsable row;
+    /// [`LoadError::InvalidFunction`] for function ids the format cannot
+    /// carry.
     pub fn from_csv(text: &str) -> LoadResult<Schedule> {
-        let mut arrivals = Vec::new();
-        for (idx, line) in text.lines().enumerate() {
-            let line = line.trim_end_matches('\r');
-            if line.is_empty() || (idx == 0 && line == "t_ns,function") {
-                continue;
-            }
-            let (t, function) = line.split_once(',').ok_or(LoadError::Malformed(idx + 1))?;
-            let nanos: u64 = t
-                .trim()
-                .parse()
-                .map_err(|_| LoadError::Malformed(idx + 1))?;
-            validate_function(function)?;
-            arrivals.push(Arrival {
-                at: SimInstant::from_nanos(nanos),
-                function: function.to_owned(),
-            });
-        }
-        arrivals.sort_by_key(|a| a.at);
-        Ok(Schedule { arrivals })
-    }
-
-    /// Materializes a fallible arrival stream into a schedule, sorting
-    /// by time (stable for equal instants — stream order is kept).
-    ///
-    /// # Errors
-    ///
-    /// The first error the stream yields.
-    pub fn from_stream(
-        stream: impl IntoIterator<Item = LoadResult<Arrival>>,
-    ) -> LoadResult<Schedule> {
-        let mut arrivals = stream.into_iter().collect::<LoadResult<Vec<Arrival>>>()?;
-        arrivals.sort_by_key(|a| a.at);
-        Ok(Schedule { arrivals })
+        Schedule::from_stream(CsvArrivalStream::new(text.as_bytes()))
     }
 
     /// Replays the schedule into a platform, building each request with
@@ -415,15 +250,45 @@ enum GenKind {
     },
 }
 
-/// A lazy arrival generator: yields the exact arrival sequence the
-/// corresponding [`Schedule`] constructor would materialize, one at a
-/// time, so a million-invocation trace never lives in memory. Arrival
-/// times are non-decreasing by construction.
+impl GenKind {
+    /// The next inter-arrival gap. Constant intervals are used as-is
+    /// (zero is rejected for more than one arrival), bursts never
+    /// advance, and stochastic gaps floor at 1 ns so arrival times
+    /// strictly increase.
+    fn gap(&mut self) -> SimDuration {
+        let ms = match self {
+            GenKind::Constant { interval } => return *interval,
+            GenKind::Burst => return SimDuration::ZERO,
+            GenKind::Poisson { mean_ms, noise } => noise.exponential(*mean_ms),
+            GenKind::Pareto {
+                scale_ms,
+                alpha,
+                noise,
+            } => {
+                // uniform() is in [0, 1); mirror to (0, 1] so
+                // u^(-1/alpha) stays finite.
+                let u = 1.0 - noise.uniform();
+                *scale_ms * u.powf(-1.0 / *alpha)
+            }
+            GenKind::Empirical { gaps_ms, noise } => {
+                let idx = (noise.uniform() * gaps_ms.len() as f64) as usize;
+                gaps_ms[idx.min(gaps_ms.len() - 1)]
+            }
+        };
+        SimDuration::from_millis_f64(ms).max(SimDuration::from_nanos(1))
+    }
+}
+
+/// A lazy, count-bounded arrival generator — the one source of the
+/// constant, burst, Poisson, Pareto and empirical workload shapes. It
+/// yields arrivals one at a time, so a million-invocation trace never
+/// lives in memory; [`Schedule::from_stream`] collects it when a
+/// materialised schedule is wanted. Arrival times are non-decreasing by
+/// construction.
 ///
-/// Divergence from the eager constructors: virtual-time overflow is
-/// reported in-stream (the arrivals before the overflow are yielded,
-/// then one `Err(LoadError::Overflow)`, then the stream ends) instead
-/// of failing the whole schedule up front.
+/// Virtual-time overflow is reported in-stream: the arrivals before the
+/// overflow are yielded, then one `Err(LoadError::Overflow)`, then the
+/// stream ends (so collecting the stream fails with that error).
 #[derive(Debug, Clone)]
 pub struct ArrivalGen {
     function: String,
@@ -445,11 +310,14 @@ impl ArrivalGen {
         })
     }
 
-    /// Streaming twin of [`Schedule::constant`].
+    /// `n` arrivals at a constant inter-arrival interval starting at
+    /// `start`.
     ///
     /// # Errors
     ///
-    /// As [`Schedule::constant`] (overflow excepted, which streams).
+    /// [`LoadError::InvalidRate`] if `interval` is zero and `n > 1`
+    /// (distinct arrivals could not advance);
+    /// [`LoadError::InvalidFunction`] on a malformed function id.
     pub fn constant(
         function: &str,
         n: usize,
@@ -462,20 +330,24 @@ impl ArrivalGen {
         ArrivalGen::new(function, n, start, GenKind::Constant { interval })
     }
 
-    /// Streaming twin of [`Schedule::burst`].
+    /// `n` simultaneous arrivals at `at` (a burst — the demand surge that
+    /// makes cold-start latency visible).
     ///
     /// # Errors
     ///
-    /// As [`Schedule::burst`].
+    /// [`LoadError::InvalidFunction`] on a malformed function id.
     pub fn burst(function: &str, n: usize, at: SimInstant) -> LoadResult<ArrivalGen> {
         ArrivalGen::new(function, n, at, GenKind::Burst)
     }
 
-    /// Streaming twin of [`Schedule::poisson`] — same seed, same gaps.
+    /// `n` arrivals with exponentially distributed inter-arrival times of
+    /// the given mean (an open-loop Poisson process), deterministic in
+    /// `seed`.
     ///
     /// # Errors
     ///
-    /// As [`Schedule::poisson`] (overflow excepted, which streams).
+    /// [`LoadError::InvalidRate`] if `mean_interval` is zero;
+    /// [`LoadError::InvalidFunction`] on a malformed function id.
     pub fn poisson(
         function: &str,
         n: usize,
@@ -497,11 +369,17 @@ impl ArrivalGen {
         )
     }
 
-    /// Streaming twin of [`Schedule::pareto`] — same seed, same gaps.
+    /// `n` arrivals with Pareto (heavy-tailed) inter-arrival gaps:
+    /// `gap = scale_ms * u^(-1/alpha)` for uniform `u`, deterministic in
+    /// `seed`. Small `alpha` (e.g. 1.1–1.5) produces the bursty,
+    /// long-gapped arrival processes production FaaS traces show; the
+    /// minimum gap is `scale_ms`.
     ///
     /// # Errors
     ///
-    /// As [`Schedule::pareto`] (overflow excepted, which streams).
+    /// [`LoadError::InvalidShape`] unless `scale_ms > 0` and `alpha > 0`
+    /// (both finite); [`LoadError::InvalidFunction`] on a malformed
+    /// function id.
     pub fn pareto(
         function: &str,
         n: usize,
@@ -525,11 +403,17 @@ impl ArrivalGen {
         )
     }
 
-    /// Streaming twin of [`Schedule::empirical`] — same seed, same gaps.
+    /// `n` arrivals whose gaps are resampled uniformly (with
+    /// replacement) from an observed set of inter-arrival gaps — the
+    /// empirical-bootstrap workload generator. Feeding it gaps measured
+    /// from a production trace reproduces that trace's marginal
+    /// inter-arrival distribution, heavy tail included.
     ///
     /// # Errors
     ///
-    /// As [`Schedule::empirical`] (overflow excepted, which streams).
+    /// [`LoadError::InvalidShape`] if `observed_gaps_ms` is empty or
+    /// contains a non-finite or negative gap;
+    /// [`LoadError::InvalidFunction`] on a malformed function id.
     pub fn empirical(
         function: &str,
         n: usize,
@@ -576,42 +460,9 @@ impl Iterator for ArrivalGen {
         };
         self.remaining -= 1;
         if self.remaining > 0 {
-            // Mirror `Schedule::from_gaps`: stochastic gaps floor at 1 ns
-            // (strict monotonicity), constant intervals are used as-is
-            // (zero already rejected for n > 1), bursts never advance.
-            let gap = match &mut self.kind {
-                GenKind::Constant { interval } => Some(*interval),
-                GenKind::Burst => None,
-                GenKind::Poisson { mean_ms, noise } => Some(
-                    SimDuration::from_millis_f64(noise.exponential(*mean_ms))
-                        .max(SimDuration::from_nanos(1)),
-                ),
-                GenKind::Pareto {
-                    scale_ms,
-                    alpha,
-                    noise,
-                } => {
-                    // uniform() is in [0, 1); mirror to (0, 1] so
-                    // u^(-1/alpha) stays finite.
-                    let u = 1.0 - noise.uniform();
-                    Some(
-                        SimDuration::from_millis_f64(*scale_ms * u.powf(-1.0 / *alpha))
-                            .max(SimDuration::from_nanos(1)),
-                    )
-                }
-                GenKind::Empirical { gaps_ms, noise } => {
-                    let idx = (noise.uniform() * gaps_ms.len() as f64) as usize;
-                    Some(
-                        SimDuration::from_millis_f64(gaps_ms[idx.min(gaps_ms.len() - 1)])
-                            .max(SimDuration::from_nanos(1)),
-                    )
-                }
-            };
-            if let Some(gap) = gap {
-                match advance(self.t, gap) {
-                    Ok(t) => self.t = t,
-                    Err(e) => self.pending_err = Some(e),
-                }
+            match advance(self.t, self.kind.gap()) {
+                Ok(t) => self.t = t,
+                Err(e) => self.pending_err = Some(e),
             }
         }
         Some(Ok(out))
@@ -628,21 +479,21 @@ impl Iterator for ArrivalGen {
 /// or not earlier invocations completed, so admission queues and sheds
 /// are properties of the *offered* load, not of the completion loop.
 ///
-/// The first arrival lands exactly at `start` (mirroring
-/// [`Schedule::poisson`]); subsequent gaps are exponentially
-/// distributed with mean `1000 / rate_per_sec` ms, floored at 1 ns for
-/// strict monotonicity. Arrivals stop at `start + horizon` (exclusive).
-/// Same seed ⇒ byte-identical sequence. Unlike [`ArrivalGen`] there is
-/// no in-band overflow: the constructor proves `start + horizon` fits
-/// in virtual time, so a gap that overflows necessarily lands past the
-/// horizon and simply ends the stream.
+/// The first arrival lands exactly at `start` (as with
+/// [`ArrivalGen::poisson`], whose gap formula it shares); subsequent
+/// gaps are exponentially distributed with mean `1000 / rate_per_sec`
+/// ms, floored at 1 ns for strict monotonicity. Arrivals stop at
+/// `start + horizon` (exclusive). Same seed ⇒ byte-identical sequence.
+/// Unlike [`ArrivalGen`] there is no in-band overflow: the constructor
+/// proves `start + horizon` fits in virtual time, so a gap that
+/// overflows necessarily lands past the horizon and simply ends the
+/// stream.
 #[derive(Debug, Clone)]
 pub struct PoissonProcess {
     function: String,
     t: SimInstant,
     end: SimInstant,
-    mean_ms: f64,
-    noise: Noise,
+    gaps: GenKind,
 }
 
 impl PoissonProcess {
@@ -671,8 +522,10 @@ impl PoissonProcess {
             function: function.to_owned(),
             t: start,
             end,
-            mean_ms: 1_000.0 / rate_per_sec,
-            noise: Noise::new(seed, 0.0),
+            gaps: GenKind::Poisson {
+                mean_ms: 1_000.0 / rate_per_sec,
+                noise: Noise::new(seed, 0.0),
+            },
         })
     }
 
@@ -693,9 +546,7 @@ impl Iterator for PoissonProcess {
             at: self.t,
             function: self.function.clone(),
         };
-        let gap = SimDuration::from_millis_f64(self.noise.exponential(self.mean_ms))
-            .max(SimDuration::from_nanos(1));
-        self.t = advance(self.t, gap).unwrap_or(self.end);
+        self.t = advance(self.t, self.gaps.gap()).unwrap_or(self.end);
         Some(Ok(out))
     }
 }
@@ -712,7 +563,7 @@ enum Head {
 /// arrivals drain in source order — exactly the order nested
 /// [`Schedule::merge`] calls produce when the sources are given in the
 /// same order — so a streamed multi-tenant trace is byte-identical to
-/// its materialized twin. The merge is O(k) per arrival (k = tenant
+/// the merged schedule. The merge is O(k) per arrival (k = tenant
 /// streams), which is flat in trace length.
 #[derive(Debug)]
 pub struct MergedArrivals<I> {
@@ -753,7 +604,7 @@ impl<I: Iterator<Item = LoadResult<Arrival>>> Iterator for MergedArrivals<I> {
             }
         }
         // Earliest time wins; the first source wins ties, matching the
-        // left-biased stable merge of the eager path.
+        // left-biased stable sort of `Schedule::merge`.
         let mut best: Option<(usize, SimInstant)> = None;
         for (i, head) in self.heads.iter().enumerate() {
             if let Head::Ready(a) = head {
@@ -770,10 +621,11 @@ impl<I: Iterator<Item = LoadResult<Arrival>>> Iterator for MergedArrivals<I> {
     }
 }
 
-/// Streams arrivals to `out` in the [`Schedule::to_csv`] format
-/// (`t_ns,function` header + one row per arrival) without materializing
-/// the trace, returning the number of rows written. Wrap `out` in a
-/// `BufWriter` for file targets — rows are written one at a time.
+/// Writes arrivals to `out` as a CSV trace — a `t_ns,function` header
+/// followed by one row per arrival, nanosecond timestamps — without
+/// materializing the trace, returning the number of rows written. Wrap
+/// `out` in a `BufWriter` for file targets — rows are written one at a
+/// time. [`CsvArrivalStream`] reads the format back bit-exactly.
 ///
 /// # Errors
 ///
@@ -799,11 +651,17 @@ pub fn write_csv_stream<W: std::io::Write>(
 
 /// Lazily parses a CSV trace from a buffered reader, yielding arrivals
 /// in file order one row at a time (the chunking is the reader's
-/// buffer). Accepts exactly what [`Schedule::from_csv`] accepts —
-/// optional header, blank lines, `\r\n` — but does **not** sort:
-/// consumers that need time order should stream traces written by
-/// [`write_csv_stream`] (sorted by construction) or fall back to the
-/// materializing parser.
+/// buffer). The header row, blank lines and `\r\n` endings are optional
+/// and ignored. The stream does **not** sort: [`Schedule::from_stream`]
+/// sorts what it collects, and traces written by [`write_csv_stream`]
+/// from a sorted source are sorted by construction.
+///
+/// # Errors
+///
+/// Yields one error and then ends: [`LoadError::Malformed`] with the
+/// 1-based line number of an unparsable row,
+/// [`LoadError::InvalidFunction`] for a function id the format cannot
+/// carry, or [`LoadError::Io`] on a read failure.
 #[derive(Debug)]
 pub struct CsvArrivalStream<R> {
     reader: R,
@@ -868,58 +726,6 @@ impl<R: std::io::BufRead> Iterator for CsvArrivalStream<R> {
     }
 }
 
-/// Submits `n` requests at a constant inter-arrival interval starting at
-/// `start`.
-///
-/// # Errors
-///
-/// As [`Schedule::constant`], plus submission errors (unknown function).
-pub fn constant_rate(
-    platform: &mut Platform,
-    function: &str,
-    n: usize,
-    start: SimInstant,
-    interval: SimDuration,
-    make_request: impl Fn(usize) -> Request,
-) -> LoadResult<()> {
-    Schedule::constant(function, n, start, interval)?.submit(platform, make_request)
-}
-
-/// Submits `n` requests with exponentially distributed inter-arrival
-/// times of the given mean (an open-loop Poisson process), deterministic
-/// in `seed`.
-///
-/// # Errors
-///
-/// As [`Schedule::poisson`], plus submission errors.
-pub fn poisson(
-    platform: &mut Platform,
-    function: &str,
-    n: usize,
-    start: SimInstant,
-    mean_interval: SimDuration,
-    seed: u64,
-    make_request: impl Fn(usize) -> Request,
-) -> LoadResult<()> {
-    Schedule::poisson(function, n, start, mean_interval, seed)?.submit(platform, make_request)
-}
-
-/// Submits `n` simultaneous requests at `at` (a burst — the demand surge
-/// that makes cold-start latency visible).
-///
-/// # Errors
-///
-/// As [`Schedule::burst`], plus submission errors.
-pub fn burst(
-    platform: &mut Platform,
-    function: &str,
-    n: usize,
-    at: SimInstant,
-    make_request: impl Fn(usize) -> Request,
-) -> LoadResult<()> {
-    Schedule::burst(function, n, at)?.submit(platform, make_request)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -940,17 +746,21 @@ mod tests {
         p
     }
 
+    /// Collects a generator into a schedule, panicking on any error.
+    fn collect(gen: LoadResult<ArrivalGen>) -> Schedule {
+        Schedule::from_stream(gen.unwrap()).unwrap()
+    }
+
     #[test]
     fn constant_rate_submits_all() {
         let mut p = platform();
-        constant_rate(
-            &mut p,
+        collect(ArrivalGen::constant(
             "noop",
             20,
             SimInstant::EPOCH,
             SimDuration::from_millis(50),
-            |_| Request::empty(),
-        )
+        ))
+        .submit(&mut p, |_| Request::empty())
         .unwrap();
         p.run().unwrap();
         assert_eq!(p.completed().len(), 20);
@@ -961,49 +771,32 @@ mod tests {
 
     #[test]
     fn poisson_is_deterministic_per_seed() {
-        let mut p1 = platform();
-        poisson(
-            &mut p1,
-            "noop",
-            30,
-            SimInstant::EPOCH,
-            SimDuration::from_millis(20),
-            7,
-            |_| Request::empty(),
-        )
-        .unwrap();
-        p1.run().unwrap();
-
-        let mut p2 = platform();
-        poisson(
-            &mut p2,
-            "noop",
-            30,
-            SimInstant::EPOCH,
-            SimDuration::from_millis(20),
-            7,
-            |_| Request::empty(),
-        )
-        .unwrap();
-        p2.run().unwrap();
-
-        let l1: Vec<u64> = p1
-            .completed()
-            .iter()
-            .map(|r| r.completed.as_nanos())
-            .collect();
-        let l2: Vec<u64> = p2
-            .completed()
-            .iter()
-            .map(|r| r.completed.as_nanos())
-            .collect();
-        assert_eq!(l1, l2);
+        let run = || {
+            let mut p = platform();
+            collect(ArrivalGen::poisson(
+                "noop",
+                30,
+                SimInstant::EPOCH,
+                SimDuration::from_millis(20),
+                7,
+            ))
+            .submit(&mut p, |_| Request::empty())
+            .unwrap();
+            p.run().unwrap();
+            p.completed()
+                .iter()
+                .map(|r| r.completed.as_nanos())
+                .collect::<Vec<u64>>()
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
     fn burst_fans_out_replicas() {
         let mut p = platform();
-        burst(&mut p, "noop", 6, SimInstant::EPOCH, |_| Request::empty()).unwrap();
+        collect(ArrivalGen::burst("noop", 6, SimInstant::EPOCH))
+            .submit(&mut p, |_| Request::empty())
+            .unwrap();
         p.run().unwrap();
         assert_eq!(p.completed().len(), 6);
         let started = p.metrics().get("noop").unwrap().replicas_started.get();
@@ -1013,23 +806,27 @@ mod tests {
     #[test]
     fn zero_rates_are_typed_errors() {
         assert_eq!(
-            Schedule::constant("f", 2, SimInstant::EPOCH, SimDuration::ZERO).unwrap_err(),
+            ArrivalGen::constant("f", 2, SimInstant::EPOCH, SimDuration::ZERO).unwrap_err(),
             LoadError::InvalidRate
         );
         // A single arrival needs no progress, so a zero interval is fine.
         assert_eq!(
-            Schedule::constant("f", 1, SimInstant::EPOCH, SimDuration::ZERO)
-                .unwrap()
-                .len(),
+            collect(ArrivalGen::constant(
+                "f",
+                1,
+                SimInstant::EPOCH,
+                SimDuration::ZERO
+            ))
+            .len(),
             1
         );
         assert_eq!(
-            Schedule::poisson("f", 5, SimInstant::EPOCH, SimDuration::ZERO, 1).unwrap_err(),
+            ArrivalGen::poisson("f", 5, SimInstant::EPOCH, SimDuration::ZERO, 1).unwrap_err(),
             LoadError::InvalidRate
         );
         // Negative float intervals saturate to zero and are rejected too.
         assert_eq!(
-            Schedule::poisson(
+            ArrivalGen::poisson(
                 "f",
                 5,
                 SimInstant::EPOCH,
@@ -1045,24 +842,24 @@ mod tests {
     fn shape_parameters_are_validated() {
         for (scale, alpha) in [(0.0, 1.5), (-1.0, 1.5), (10.0, 0.0), (10.0, -2.0)] {
             assert_eq!(
-                Schedule::pareto("f", 3, SimInstant::EPOCH, scale, alpha, 1).unwrap_err(),
+                ArrivalGen::pareto("f", 3, SimInstant::EPOCH, scale, alpha, 1).unwrap_err(),
                 LoadError::InvalidShape
             );
         }
         assert_eq!(
-            Schedule::pareto("f", 3, SimInstant::EPOCH, f64::NAN, 1.5, 1).unwrap_err(),
+            ArrivalGen::pareto("f", 3, SimInstant::EPOCH, f64::NAN, 1.5, 1).unwrap_err(),
             LoadError::InvalidShape
         );
         assert_eq!(
-            Schedule::empirical("f", 3, SimInstant::EPOCH, &[], 1).unwrap_err(),
+            ArrivalGen::empirical("f", 3, SimInstant::EPOCH, &[], 1).unwrap_err(),
             LoadError::InvalidShape
         );
         assert_eq!(
-            Schedule::empirical("f", 3, SimInstant::EPOCH, &[5.0, f64::INFINITY], 1).unwrap_err(),
+            ArrivalGen::empirical("f", 3, SimInstant::EPOCH, &[5.0, f64::INFINITY], 1).unwrap_err(),
             LoadError::InvalidShape
         );
         assert_eq!(
-            Schedule::empirical("f", 3, SimInstant::EPOCH, &[5.0, -1.0], 1).unwrap_err(),
+            ArrivalGen::empirical("f", 3, SimInstant::EPOCH, &[5.0, -1.0], 1).unwrap_err(),
             LoadError::InvalidShape
         );
     }
@@ -1070,28 +867,36 @@ mod tests {
     #[test]
     fn tick_overflow_is_a_typed_error() {
         let near_end = SimInstant::from_nanos(u64::MAX - 10);
-        assert_eq!(
-            Schedule::constant("f", 3, near_end, SimDuration::from_secs(1)).unwrap_err(),
-            LoadError::Overflow
-        );
-        assert_eq!(
-            Schedule::poisson("f", 50, near_end, SimDuration::from_secs(1), 1).unwrap_err(),
-            LoadError::Overflow
-        );
-        assert_eq!(
-            Schedule::pareto("f", 50, near_end, 1000.0, 1.1, 1).unwrap_err(),
-            LoadError::Overflow
-        );
+        let gens = [
+            ArrivalGen::constant("f", 3, near_end, SimDuration::from_secs(1)),
+            ArrivalGen::poisson("f", 50, near_end, SimDuration::from_secs(1), 1),
+            ArrivalGen::pareto("f", 50, near_end, 1000.0, 1.1, 1),
+        ];
+        for gen in gens {
+            assert_eq!(
+                Schedule::from_stream(gen.unwrap()).unwrap_err(),
+                LoadError::Overflow
+            );
+        }
     }
 
     #[test]
     fn function_ids_are_validated() {
         for bad in ["", "a,b", "a\nb"] {
-            assert!(matches!(
-                Schedule::burst(bad, 1, SimInstant::EPOCH).unwrap_err(),
-                LoadError::InvalidFunction(_)
-            ));
+            assert_eq!(
+                ArrivalGen::burst(bad, 1, SimInstant::EPOCH).unwrap_err(),
+                LoadError::InvalidFunction(bad.to_owned())
+            );
         }
+        // A hand-built stream is checked when collected.
+        let bad = Arrival {
+            at: SimInstant::EPOCH,
+            function: "a,b".to_owned(),
+        };
+        assert_eq!(
+            Schedule::from_stream([Ok(bad)]).unwrap_err(),
+            LoadError::InvalidFunction("a,b".to_owned())
+        );
     }
 
     #[test]
@@ -1099,13 +904,17 @@ mod tests {
         let e = LoadError::Submit(Errno::Enoent);
         assert!(e.to_string().contains("no such file"));
         assert!(LoadError::Malformed(3).to_string().contains("line 3"));
+        assert!(LoadError::Unsorted(4).to_string().contains("arrival 4"));
         let from: LoadError = Errno::Einval.into();
         assert_eq!(from, LoadError::Submit(Errno::Einval));
     }
 
     #[test]
     fn pareto_gaps_are_heavy_tailed() {
-        let s = Schedule::pareto("f", 2000, SimInstant::EPOCH, 10.0, 1.2, 9).unwrap();
+        let gen = ArrivalGen::pareto("f", 2000, SimInstant::EPOCH, 10.0, 1.2, 9).unwrap();
+        assert_eq!(gen.remaining(), 2000);
+        assert_eq!(gen.size_hint(), (2000, Some(2000)));
+        let s = Schedule::from_stream(gen).unwrap();
         let gaps: Vec<f64> = s
             .arrivals()
             .windows(2)
@@ -1123,7 +932,13 @@ mod tests {
     #[test]
     fn empirical_resamples_only_observed_gaps() {
         let observed = [5.0, 50.0, 500.0];
-        let s = Schedule::empirical("f", 400, SimInstant::EPOCH, &observed, 3).unwrap();
+        let s = collect(ArrivalGen::empirical(
+            "f",
+            400,
+            SimInstant::EPOCH,
+            &observed,
+            3,
+        ));
         for w in s.arrivals().windows(2) {
             let gap = (w[1].at - w[0].at).as_millis_f64();
             assert!(
@@ -1135,10 +950,18 @@ mod tests {
 
     #[test]
     fn merge_orders_by_time_stably() {
-        let a =
-            Schedule::constant("a", 3, SimInstant::EPOCH, SimDuration::from_millis(10)).unwrap();
-        let b =
-            Schedule::constant("b", 3, SimInstant::EPOCH, SimDuration::from_millis(10)).unwrap();
+        let a = collect(ArrivalGen::constant(
+            "a",
+            3,
+            SimInstant::EPOCH,
+            SimDuration::from_millis(10),
+        ));
+        let b = collect(ArrivalGen::constant(
+            "b",
+            3,
+            SimInstant::EPOCH,
+            SimDuration::from_millis(10),
+        ));
         let merged = a.merge(b);
         assert_eq!(merged.len(), 6);
         let order: Vec<&str> = merged
@@ -1156,15 +979,18 @@ mod tests {
 
     #[test]
     fn csv_roundtrip_is_exact() {
-        let s = Schedule::poisson(
+        let s = collect(ArrivalGen::poisson(
             "noop",
             25,
             SimInstant::EPOCH,
             SimDuration::from_millis(7),
             11,
-        )
-        .unwrap()
-        .merge(Schedule::burst("fn-b", 3, SimInstant::from_nanos(12345)).unwrap());
+        ))
+        .merge(collect(ArrivalGen::burst(
+            "fn-b",
+            3,
+            SimInstant::from_nanos(12345),
+        )));
         let csv = s.to_csv();
         assert!(csv.starts_with("t_ns,function\n"));
         let back = Schedule::from_csv(&csv).unwrap();
@@ -1201,73 +1027,11 @@ mod tests {
 
     #[test]
     fn submit_unknown_function_is_typed() {
-        let schedule = Schedule::burst("ghost", 1, SimInstant::EPOCH).unwrap();
+        let schedule = collect(ArrivalGen::burst("ghost", 1, SimInstant::EPOCH));
         let mut p = platform();
         assert_eq!(
             schedule.submit(&mut p, |_| Request::empty()).unwrap_err(),
             LoadError::Submit(Errno::Enoent)
-        );
-    }
-
-    /// Drains a stream into a schedule, panicking on stream errors.
-    fn collect_stream(stream: impl IntoIterator<Item = LoadResult<Arrival>>) -> Schedule {
-        Schedule::from_stream(stream).unwrap()
-    }
-
-    #[test]
-    fn arrival_gens_match_eager_constructors_exactly() {
-        let start = SimInstant::EPOCH + SimDuration::from_millis(5);
-        let cases: Vec<(Schedule, ArrivalGen)> = vec![
-            (
-                Schedule::constant("f", 100, start, SimDuration::from_micros(250)).unwrap(),
-                ArrivalGen::constant("f", 100, start, SimDuration::from_micros(250)).unwrap(),
-            ),
-            (
-                Schedule::burst("f", 7, start).unwrap(),
-                ArrivalGen::burst("f", 7, start).unwrap(),
-            ),
-            (
-                Schedule::poisson("f", 100, start, SimDuration::from_millis(3), 42).unwrap(),
-                ArrivalGen::poisson("f", 100, start, SimDuration::from_millis(3), 42).unwrap(),
-            ),
-            (
-                Schedule::pareto("f", 100, start, 2.0, 1.5, 9).unwrap(),
-                ArrivalGen::pareto("f", 100, start, 2.0, 1.5, 9).unwrap(),
-            ),
-            (
-                Schedule::empirical("f", 100, start, &[1.0, 4.0, 0.25], 7).unwrap(),
-                ArrivalGen::empirical("f", 100, start, &[1.0, 4.0, 0.25], 7).unwrap(),
-            ),
-        ];
-        for (eager, lazy) in cases {
-            assert_eq!(lazy.remaining(), eager.len());
-            assert_eq!(lazy.size_hint(), (eager.len(), Some(eager.len())));
-            assert_eq!(collect_stream(lazy), eager);
-        }
-    }
-
-    #[test]
-    fn arrival_gen_validation_matches_eager() {
-        assert_eq!(
-            ArrivalGen::constant("f", 2, SimInstant::EPOCH, SimDuration::ZERO).unwrap_err(),
-            LoadError::InvalidRate
-        );
-        assert!(ArrivalGen::constant("f", 1, SimInstant::EPOCH, SimDuration::ZERO).is_ok());
-        assert_eq!(
-            ArrivalGen::poisson("f", 2, SimInstant::EPOCH, SimDuration::ZERO, 1).unwrap_err(),
-            LoadError::InvalidRate
-        );
-        assert_eq!(
-            ArrivalGen::pareto("f", 2, SimInstant::EPOCH, 0.0, 1.0, 1).unwrap_err(),
-            LoadError::InvalidShape
-        );
-        assert_eq!(
-            ArrivalGen::empirical("f", 2, SimInstant::EPOCH, &[], 1).unwrap_err(),
-            LoadError::InvalidShape
-        );
-        assert_eq!(
-            ArrivalGen::burst("a,b", 1, SimInstant::EPOCH).unwrap_err(),
-            LoadError::InvalidFunction("a,b".to_owned())
         );
     }
 
@@ -1278,27 +1042,18 @@ mod tests {
         assert_eq!(gen.next().unwrap().unwrap().at, near_end);
         assert_eq!(gen.next().unwrap().unwrap_err(), LoadError::Overflow);
         assert!(gen.next().is_none(), "stream ends after the error");
-        // The eager constructor rejects the whole schedule instead.
-        assert_eq!(
-            Schedule::constant("f", 3, near_end, SimDuration::from_nanos(10)).unwrap_err(),
-            LoadError::Overflow
-        );
     }
 
     #[test]
     fn merged_arrivals_match_nested_schedule_merge() {
         let start = SimInstant::EPOCH;
-        let eager = Schedule::poisson("t0", 50, start, SimDuration::from_millis(2), 1)
-            .unwrap()
-            .merge(Schedule::constant("t1", 50, start, SimDuration::from_millis(2)).unwrap())
-            .merge(Schedule::burst("t2", 5, start + SimDuration::from_millis(10)).unwrap());
-        let lazy = MergedArrivals::new(vec![
-            ArrivalGen::poisson("t0", 50, start, SimDuration::from_millis(2), 1).unwrap(),
-            ArrivalGen::constant("t1", 50, start, SimDuration::from_millis(2)).unwrap(),
-            ArrivalGen::burst("t2", 5, start + SimDuration::from_millis(10)).unwrap(),
-        ]);
+        let t0 = || ArrivalGen::poisson("t0", 50, start, SimDuration::from_millis(2), 1);
+        let t1 = || ArrivalGen::constant("t1", 50, start, SimDuration::from_millis(2));
+        let t2 = || ArrivalGen::burst("t2", 5, start + SimDuration::from_millis(10));
+        let nested = collect(t0()).merge(collect(t1())).merge(collect(t2()));
+        let lazy = MergedArrivals::new(vec![t0().unwrap(), t1().unwrap(), t2().unwrap()]);
         let streamed: Vec<Arrival> = lazy.map(|a| a.unwrap()).collect();
-        assert_eq!(streamed, eager.arrivals());
+        assert_eq!(streamed, nested.arrivals());
     }
 
     #[test]
@@ -1314,29 +1069,24 @@ mod tests {
     }
 
     #[test]
-    fn csv_stream_writes_and_reads_the_eager_format() {
+    fn csv_stream_writes_and_reads_the_schedule_format() {
         let start = SimInstant::EPOCH;
-        let eager = Schedule::poisson("t0", 40, start, SimDuration::from_millis(2), 3)
-            .unwrap()
-            .merge(Schedule::constant("t1", 40, start, SimDuration::from_millis(3)).unwrap());
-        let expected_csv = eager.to_csv();
+        let t0 = || ArrivalGen::poisson("t0", 40, start, SimDuration::from_millis(2), 3);
+        let t1 = || ArrivalGen::constant("t1", 40, start, SimDuration::from_millis(3));
+        let schedule = collect(t0()).merge(collect(t1()));
 
-        // Streamed writer produces byte-identical CSV from lazy sources.
-        let merged = MergedArrivals::new(vec![
-            ArrivalGen::poisson("t0", 40, start, SimDuration::from_millis(2), 3).unwrap(),
-            ArrivalGen::constant("t1", 40, start, SimDuration::from_millis(3)).unwrap(),
-        ]);
+        // Streaming the merged generators writes the schedule's CSV.
+        let merged = MergedArrivals::new(vec![t0().unwrap(), t1().unwrap()]);
         let mut buf = Vec::new();
         let rows = write_csv_stream(&mut buf, merged).unwrap();
         assert_eq!(rows, 80);
-        assert_eq!(String::from_utf8(buf.clone()).unwrap(), expected_csv);
+        assert_eq!(String::from_utf8(buf.clone()).unwrap(), schedule.to_csv());
 
-        // Streamed reader yields the same arrivals in file order.
+        // The reader yields the same arrivals in file order.
         let back: Vec<Arrival> = CsvArrivalStream::new(&buf[..])
             .map(|a| a.unwrap())
             .collect();
-        assert_eq!(back, eager.arrivals());
-        assert_eq!(collect_stream(CsvArrivalStream::new(&buf[..])), eager);
+        assert_eq!(back, schedule.arrivals());
     }
 
     #[test]
@@ -1348,7 +1098,7 @@ mod tests {
             CsvArrivalStream::new("12 no comma here\n".as_bytes()).collect();
         assert_eq!(items, vec![Err(LoadError::Malformed(1))]);
         assert!(CsvArrivalStream::new("".as_bytes()).next().is_none());
-        // Blank lines and a CRLF header are skipped, as in the eager parser.
+        // Blank lines and a CRLF header are skipped.
         let back: Vec<Arrival> = CsvArrivalStream::new("t_ns,function\r\n\n7,f\r\n".as_bytes())
             .map(|a| a.unwrap())
             .collect();

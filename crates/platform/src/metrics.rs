@@ -146,7 +146,9 @@ impl Histogram {
         if self.total == 0 {
             return 0.0;
         }
-        let target = (q * self.total as f64).ceil() as u64;
+        // Rank of the first observation at or past `q`; at least 1, so
+        // q = 0 reads the lowest occupied bucket, not an empty one.
+        let target = ((q * self.total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
@@ -392,6 +394,13 @@ mod tests {
         assert_eq!(h.quantile(0.5), 10.0);
         assert_eq!(h.quantile(0.99), 1000.0);
         assert_eq!(h.quantile(0.0), 10.0);
+        // q = 0 is the lowest occupied bucket, not the first bound.
+        let mut high = Histogram::new(&[10.0, 100.0, 1000.0]);
+        for _ in 0..3 {
+            high.observe(500.0);
+        }
+        assert_eq!(high.quantile(0.0), 1000.0);
+        assert_eq!(high.quantile(1.0), 1000.0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Property tests for load schedules: arrivals are strictly monotonic,
+//! Property tests for load generation: arrivals are strictly monotonic,
 //! generation is deterministic per seed, and the CSV trace codec is an
-//! exact round-trip for every generator.
+//! exact round-trip for every generator's collected schedule.
 
 use proptest::prelude::*;
 
-use prebake_platform::loadgen::{Arrival, PoissonProcess, Schedule};
+use prebake_platform::loadgen::{Arrival, ArrivalGen, PoissonProcess, Schedule};
 use prebake_sim::time::{SimDuration, SimInstant};
 
 /// Builds one schedule from a generator index and shared parameters, so
@@ -19,11 +19,11 @@ fn build(
 ) -> Schedule {
     let start = SimInstant::from_nanos(start_ns);
     let interval = SimDuration::from_millis(interval_ms);
-    match gen % 4 {
-        0 => Schedule::constant(function, n, start, interval).unwrap(),
-        1 => Schedule::poisson(function, n, start, interval, seed).unwrap(),
-        2 => Schedule::pareto(function, n, start, interval_ms as f64, 1.3, seed).unwrap(),
-        _ => Schedule::empirical(
+    let gen = match gen % 4 {
+        0 => ArrivalGen::constant(function, n, start, interval),
+        1 => ArrivalGen::poisson(function, n, start, interval, seed),
+        2 => ArrivalGen::pareto(function, n, start, interval_ms as f64, 1.3, seed),
+        _ => ArrivalGen::empirical(
             function,
             n,
             start,
@@ -38,9 +38,9 @@ fn build(
                 interval_ms as f64 * 27.0,
             ],
             seed,
-        )
-        .unwrap(),
-    }
+        ),
+    };
+    Schedule::from_stream(gen.unwrap()).unwrap()
 }
 
 proptest! {

@@ -4,7 +4,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::classfile::{fnv1a, ClassFile};
+use prebake_sim::hash::fnv1a;
+
+use crate::classfile::ClassFile;
 
 /// Format magic: `"JLAR"`.
 pub const ARCHIVE_MAGIC: u32 = 0x4A4C_4152;

@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use prebake_sim::hash::fnv1a;
+
 /// Format magic: `"JLVC"`.
 pub const CLASS_MAGIC: u32 = 0x4A4C_5643;
 /// Current format version.
@@ -211,16 +213,6 @@ pub struct ClassFile {
     pub constants: Vec<Constant>,
     /// Methods.
     pub methods: Vec<Method>,
-}
-
-/// FNV-1a 64-bit hash, used as the class-file checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {

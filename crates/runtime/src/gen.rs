@@ -7,6 +7,8 @@
 //! target byte size it emits a [`ClassFile`] with a blob-heavy constant
 //! pool and random — but verifier-clean — bytecode.
 
+use prebake_sim::hash::fnv1a;
+
 use crate::classfile::{ClassFile, Constant, Method, Op};
 
 /// A tiny deterministic PRNG (splitmix64). Kept local so the runtime crate
@@ -65,7 +67,7 @@ impl SplitMix64 {
 /// The same `(name, seed, target_bytes)` triple always yields the same
 /// bytes.
 pub fn synth_class(name: &str, seed: u64, target_bytes: usize) -> ClassFile {
-    let mut rng = SplitMix64::new(seed ^ crate::classfile::fnv1a(name.as_bytes()));
+    let mut rng = SplitMix64::new(seed ^ fnv1a(name.as_bytes()));
 
     // Bytecode: 2-5 methods of random verifier-clean code.
     let method_count = 2 + rng.below(4) as usize;

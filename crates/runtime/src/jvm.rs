@@ -10,13 +10,14 @@
 
 use prebake_sim::cost::per_byte;
 use prebake_sim::error::{Errno, SysResult};
+use prebake_sim::hash::fnv1a;
 use prebake_sim::kernel::Kernel;
 use prebake_sim::mem::{Prot, VirtAddr, VmaKind};
 use prebake_sim::proc::Pid;
 use prebake_sim::time::SimDuration;
 
 use crate::archive::Archive;
-use crate::classfile::{fnv1a, ClassFile};
+use crate::classfile::ClassFile;
 use crate::costs::RuntimeCosts;
 use crate::gen::SplitMix64;
 use crate::http::{Request, Response};

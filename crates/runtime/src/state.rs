@@ -8,9 +8,8 @@
 //! is what makes the reproduction honest: warm behaviour after restore
 //! exists *only because* the snapshot carried these bytes.
 
+use prebake_sim::hash::fnv1a;
 use prebake_sim::mem::VirtAddr;
-
-use crate::classfile::fnv1a;
 
 /// Guest address of the state region (below the `mmap` allocator base, so
 /// it never collides with dynamic mappings).

@@ -21,6 +21,7 @@
 //! - [`cost`] — the calibrated OS cost table
 //! - [`mem`] — pages, VMAs and address spaces
 //! - [`fs`] — an in-memory filesystem with a page-cache model
+//! - [`hash`] — FNV-1a, the content hash and checksum of every image format
 //! - [`proc`] — processes, threads, descriptors, capabilities
 //! - [`kernel`] — the machine: syscall surface, ptrace, `/proc`, probes
 //! - [`event`] — a discrete-event queue for the platform layer
@@ -56,6 +57,7 @@ pub mod cost;
 pub mod error;
 pub mod event;
 pub mod fs;
+pub mod hash;
 pub mod kernel;
 pub mod mem;
 pub mod noise;

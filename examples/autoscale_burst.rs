@@ -11,7 +11,7 @@
 
 use prebake_functions::FunctionSpec;
 use prebake_platform::builder::{FunctionBuilder, Template};
-use prebake_platform::loadgen;
+use prebake_platform::loadgen::{ArrivalGen, Schedule};
 use prebake_platform::platform::{Platform, PlatformConfig};
 use prebake_platform::registry::Registry;
 use prebake_runtime::http::Request;
@@ -34,23 +34,23 @@ fn run_scenario(template: &Template) -> (Vec<f64>, u64, u64) {
 
     // Steady trickle for ~20s, then silence, then a 10-request burst at
     // t=60s — well past the idle GC, so the burst lands on zero replicas.
-    loadgen::poisson(
-        &mut platform,
+    ArrivalGen::poisson(
         "image-resizer",
         30,
         SimInstant::EPOCH,
         SimDuration::from_millis(700),
         11,
-        |_| Request::empty(),
     )
+    .and_then(Schedule::from_stream)
+    .and_then(|s| s.submit(&mut platform, |_| Request::empty()))
     .expect("steady load");
-    loadgen::burst(
-        &mut platform,
+    ArrivalGen::burst(
         "image-resizer",
         10,
         SimInstant::EPOCH + SimDuration::from_secs(60),
-        |_| Request::empty(),
     )
+    .and_then(Schedule::from_stream)
+    .and_then(|s| s.submit(&mut platform, |_| Request::empty()))
     .expect("burst");
     platform.run().expect("run platform");
 

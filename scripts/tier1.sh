@@ -19,6 +19,9 @@ cd "$(dirname "$0")/.."
 
 run cargo build --release
 run cargo test --workspace -q
+# The benchmark harness is its own workspace; building it here catches an
+# API break in the crates it drives before the benchmark runs.
+run cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 # Behaviour and determinism gate: each ablation runs once at --quick
 # (asserting its DESIGN.md §11-§17 acceptance checks) and its JSON must

@@ -2,7 +2,7 @@
 //! mixed functions and traffic over one gateway.
 
 use prebake_functions::FunctionSpec;
-use prebake_platform::loadgen;
+use prebake_platform::loadgen::{ArrivalGen, Schedule};
 use prebake_platform::openfaas::{FaasGateway, ProviderConfig};
 use prebake_platform::platform::PlatformConfig;
 use prebake_runtime::http::Request;
@@ -82,15 +82,11 @@ fn constant_rate_trace_keeps_single_replica_busy() {
     gw.push(image);
     gw.deploy("noop").unwrap();
 
-    loadgen::constant_rate(
-        gw.platform_mut(),
-        "noop",
-        50,
-        SimInstant::EPOCH,
-        SimDuration::from_millis(200),
-        |_| Request::empty(),
-    )
-    .unwrap();
+    ArrivalGen::constant("noop", 50, SimInstant::EPOCH, SimDuration::from_millis(200))
+        .and_then(Schedule::from_stream)
+        .unwrap()
+        .submit(gw.platform_mut(), |_| Request::empty())
+        .unwrap();
     gw.run().unwrap();
 
     assert_eq!(gw.platform().completed().len(), 50);
